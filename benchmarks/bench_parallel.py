@@ -6,13 +6,10 @@ Runs the full registered experiment set three ways and writes
 1. ``--jobs 1``, cache disabled — the serial baseline,
 2. ``--jobs N``, cold cache — the process-pool speedup (and populates
    the cache),
-3. ``--jobs N``, warm cache — every experiment must be a hit,
-4. ``--jobs N``, no cache, analytic fast path + timing memo enabled
-   (``REPRO_FASTPATH=1`` — inherited by the pool workers).
+3. ``--jobs N``, warm cache — every experiment must be a hit.
 
-Along the way it asserts that the serial, parallel, and fast-path runs
-produced row-for-row identical figure data (the determinism contract —
-the fast path's output is bit-identical by construction).
+Along the way it asserts that the serial and parallel runs produced
+row-for-row identical figure data (the determinism contract).
 
 Usage::
 
@@ -33,7 +30,6 @@ import tempfile
 from _common import write_bench
 from repro.experiments import export
 from repro.experiments.parallel import run_parallel
-from repro.sim import fastpath
 
 
 def _figure_data(run):
@@ -48,9 +44,7 @@ def _figure_data(run):
 
 def main(jobs: int = 4, profile: str = "eval") -> int:
     cache_dir = tempfile.mkdtemp(prefix="repro-bench-cache-")
-    env_saved = os.environ.get(fastpath.ENV_FLAG)
     try:
-        fastpath.set_enabled(False)
         print(f"serial baseline (jobs=1, no cache, profile={profile})...")
         serial = run_parallel(None, profile=profile, jobs=1, use_cache=False)
         print(f"  {serial.wall_seconds:.1f}s")
@@ -70,18 +64,9 @@ def main(jobs: int = 4, profile: str = "eval") -> int:
         )
         print(f"  {cached.wall_seconds:.1f}s, {cached.cache_hits} hits")
 
-        print(f"fast path (jobs={jobs}, no cache, analytic memo)...")
-        fastpath.set_enabled(True)
-        fastpath.clear_memo()
-        fast = run_parallel(None, profile=profile, jobs=jobs, use_cache=False)
-        fastpath.set_enabled(False)
-        print(f"  {fast.wall_seconds:.1f}s")
-
         identical = _figure_data(serial) == _figure_data(parallel)
-        fast_identical = _figure_data(serial) == _figure_data(fast)
         all_hits = cached.cache_hits == len(cached.outcomes)
         speedup = serial.wall_seconds / parallel.wall_seconds
-        fast_speedup = serial.wall_seconds / fast.wall_seconds
 
         payload = {
             "benchmark": "repro all --jobs N vs --jobs 1",
@@ -95,9 +80,6 @@ def main(jobs: int = 4, profile: str = "eval") -> int:
             "cache_hits_on_second_run": cached.cache_hits,
             "all_experiments_cache_hit": all_hits,
             "rows_identical_serial_vs_parallel": identical,
-            "fastpath_seconds": round(fast.wall_seconds, 3),
-            "fastpath_speedup_vs_serial": round(fast_speedup, 3),
-            "rows_identical_serial_vs_fastpath": fast_identical,
             "per_experiment_seconds": {
                 o.exp_id: round(o.elapsed, 3) for o in serial.outcomes
             },
@@ -113,19 +95,13 @@ def main(jobs: int = 4, profile: str = "eval") -> int:
               f"({speedup:.2f}x, jobs={jobs}, cpus={os.cpu_count()})")
         print(f"cached   {cached.wall_seconds:7.1f}s  "
               f"({cached.cache_hits}/{len(cached.outcomes)} hits)")
-        print(f"fastpath {fast.wall_seconds:7.1f}s  "
-              f"({fast_speedup:.2f}x vs serial event)")
-        print(f"identical rows: parallel={identical} fastpath={fast_identical}")
+        print(f"identical rows: {identical}")
         print(f"written to {out_path}")
-        if not identical or not fast_identical or not all_hits:
+        if not identical or not all_hits:
             print("DETERMINISM OR CACHE FAILURE", file=sys.stderr)
             return 1
         return 0
     finally:
-        if env_saved is None:
-            os.environ.pop(fastpath.ENV_FLAG, None)
-        else:
-            os.environ[fastpath.ENV_FLAG] = env_saved
         shutil.rmtree(cache_dir, ignore_errors=True)
 
 

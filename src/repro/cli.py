@@ -84,11 +84,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"unknown model {args.model!r}; choose from "
               f"{', '.join(zoo.MODEL_BUILDERS)}", file=sys.stderr)
         return 2
-    from repro.sim import fastpath
     from repro.store import ingest_quietly
     from repro.store.ingest import record_from_run
 
-    fastpath.set_enabled(bool(args.fast))
     with telemetry.scoped(trace=False) as scope:
         soc = SoC(SoCConfig(protection=args.protection))
         print(model.summary())
@@ -164,9 +162,7 @@ def _cmd_attacks(args: argparse.Namespace) -> int:
 def _cmd_experiments(args: argparse.Namespace) -> int:
     from repro.experiments.all import REGISTRY, run_all
     from repro.experiments.parallel import run_parallel
-    from repro.sim import fastpath
 
-    fastpath.set_enabled(bool(args.fast))
     ids = args.ids or ["all"]
     if "all" in ids:
         run_all(
@@ -1189,11 +1185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--detailed", action="store_true",
                        help="simulate every DMA descriptor (slower)")
     p_run.add_argument("--input-size", type=int, default=112)
-    p_run.add_argument("--fast", action="store_true", default=False,
-                       dest="fast",
-                       help="analytic fast-path timing (bit-identical)")
-    p_run.add_argument("--no-fast", action="store_false", dest="fast",
-                       help="force the event simulator (default)")
     p_run.set_defaults(func=_cmd_run)
 
     p_attacks = sub.add_parser("attacks", help="execute the attack matrix")
@@ -1227,15 +1218,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=None, metavar="DIR",
         help="cache location (default $REPRO_CACHE_DIR or "
              "~/.cache/repro-experiments)",
-    )
-    p_exp.add_argument(
-        "--fast", action="store_true", default=False, dest="fast",
-        help="use the analytic fast-path timing engine (bit-identical "
-             "results; see repro.sim.fastpath)",
-    )
-    p_exp.add_argument(
-        "--no-fast", action="store_false", dest="fast",
-        help="force the event simulator everywhere (default)",
     )
     p_exp.set_defaults(func=_cmd_experiments)
 

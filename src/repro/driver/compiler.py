@@ -32,17 +32,14 @@ from repro.errors import ConfigError
 from repro.npu.config import NPUConfig
 from repro.npu.isa import LayerSchedule, NPUProgram, SpadTransfer, TileIteration
 from repro.npu.systolic import SystolicArray
-from repro.sim import fastpath
 from repro.workloads.model import GemmSpec, Kernel, ModelGraph, VectorSpec
 
 #: Default virtual base address of a task's address space.
 TASK_VA_BASE = 0x1000_0000
 
-#: Fast-path blocking memo: ``_choose_blocking`` is a pure function of
+#: Blocking memo: ``_choose_blocking`` is a pure function of
 #: ``(spec, budget, acc_budget, config)`` (all frozen dataclasses), and
-#: experiments recompile the same kernels dozens of times.  Consulted
-#: only when the analytic fast path is enabled — the event leg keeps
-#: its unmemoised search so benchmarks compare like for like.
+#: experiments and serving recompile the same kernels dozens of times.
 _BLOCKING_MEMO: Dict[tuple, "Blocking"] = {}
 _BLOCKING_MEMO_MAX = 4096
 
@@ -212,12 +209,10 @@ class TilingCompiler:
     def _choose_blocking(
         self, spec: GemmSpec, budget: int, acc_budget: int
     ) -> Blocking:
-        closed = fastpath.enabled()
-        if closed:
-            memo_key = (spec, budget, acc_budget, self.config)
-            cached = _BLOCKING_MEMO.get(memo_key)
-            if cached is not None:
-                return cached
+        cache_key = (spec, budget, acc_budget, self.config)
+        cached = _BLOCKING_MEMO.get(cache_key)
+        if cached is not None:
+            return cached
         d = self.config.array_dim
         ib = self.config.input_bytes
         acc_eb = self.config.acc_elem_bytes
@@ -248,9 +243,7 @@ class TilingCompiler:
                     # Minimize the modelled pipeline time (the same per-
                     # iteration max(load, compute, store) the core charges),
                     # with raw traffic as tiebreak (energy/contention).
-                    est_time = self._estimate_layer_time(
-                        spec, blocking, closed=closed
-                    )
+                    est_time = self._estimate_layer_time(spec, blocking)
                     key = (est_time, traffic)
                     if best is None or key < best[:2]:
                         best = (est_time, traffic, blocking)
@@ -267,10 +260,9 @@ class TilingCompiler:
             )
         else:
             chosen = best[2]
-        if closed:
-            if len(_BLOCKING_MEMO) >= _BLOCKING_MEMO_MAX:
-                _BLOCKING_MEMO.pop(next(iter(_BLOCKING_MEMO)))
-            _BLOCKING_MEMO[memo_key] = chosen
+        if len(_BLOCKING_MEMO) >= _BLOCKING_MEMO_MAX:
+            _BLOCKING_MEMO.pop(next(iter(_BLOCKING_MEMO)))
+        _BLOCKING_MEMO[cache_key] = chosen
         return chosen
 
     def _choose_pack(self, spec: GemmSpec, blocking: Blocking) -> int:
@@ -290,106 +282,22 @@ class TilingCompiler:
         )
         return float(per_repeat * spec.repeat)
 
-    def _aggregate_gemm(
-        self, spec: GemmSpec, b: Blocking, closed: Optional[bool] = None
-    ) -> dict:
-        """Exact schedule aggregates without a factory fold.
+    def _aggregate_gemm(self, spec: GemmSpec, b: Blocking) -> dict:
+        """Exact schedule aggregates in O(1): ``count × value`` per block size.
 
-        Two bit-identical implementations: the reference form sums over
-        explicit per-dimension block-size lists; the O(1) closed form
-        (used on the analytic fast path) replaces each list sum with
-        ``count × per-size value`` — every dimension has full blocks
-        plus at most one edge block, and every summand is an integer,
-        so the product form is the same number.  A unit test asserts
-        field-by-field bit equality between the two.
+        Each dimension splits into ``q`` full blocks of size ``block``
+        plus at most one edge block of size ``r``; every sum over the
+        blocks of a dimension therefore collapses to
+        ``q·f(block) + f(r)``.  All summands are ints, so the collapse
+        is exact, and the float fields equal a sequential fold over the
+        layer's iterations bit for bit (``tests/unit/test_isa_compiler.py``
+        holds the per-block list form and the fold as oracles).
         """
-        if closed is None:
-            closed = fastpath.enabled()
-        if closed and spec.m > 0 and spec.k > 0 and spec.n > 0:
-            return self._aggregate_gemm_closed(spec, b)
-        return self._aggregate_gemm_lists(spec, b)
-
-    def _aggregate_gemm_lists(self, spec: GemmSpec, b: Blocking) -> dict:
-        """Reference aggregate: explicit block-size lists, O(blocks)."""
         cfg = self.config
         d = cfg.array_dim
         ib, ob = cfg.input_bytes, cfg.output_bytes
         # Bytes of raw input fetched per M-row per full-K pass: the spec
         # counts elements, the stride is in bytes.
-        row_eff = max(ib, (spec.input_bytes_per_pass // max(spec.m, 1)) * ib)
-
-        def sizes(total: int, block: int) -> List[int]:
-            out = [block] * (total // block)
-            if total % block:
-                out.append(total % block)
-            return out or [total]
-
-        m_sizes = sizes(spec.m, b.mb)
-        k_sizes = sizes(spec.k, b.kb)
-        n_sizes = sizes(spec.n, b.nb)
-        halo_cap = (
-            _ceil_div(spec.input_halo_bytes * ib, row_eff)
-            if spec.input_halo_bytes
-            else 0
-        )
-        # First m block has no halo (nothing precedes it).
-        m_eff = [
-            bm + (min(bm // 2, halo_cap) if i > 0 else 0)
-            for i, bm in enumerate(m_sizes)
-        ]
-
-        nM, nK, nN = len(m_sizes), len(k_sizes), len(n_sizes)
-        iters_inner = nM * nK * nN
-        gs = _ceil_div(spec.repeat, b.pack)
-
-        sum_me = sum(m_eff)
-        sum_m = sum(m_sizes)
-        sum_n = sum(n_sizes)
-        sum_k = sum(k_sizes)
-        sum_rowb = sum(max(ib, row_eff * bk // max(spec.k, 1)) for bk in k_sizes)
-        sum_wtk = sum(_ceil_div(bk, d) for bk in k_sizes)
-        sum_wtn = sum(_ceil_div(bn, d) for bn in n_sizes)
-        sum_sub_m = sum(_ceil_div(me, d) for me in m_eff)
-        sum_sub_m_plain = sum(_ceil_div(bm, d) for bm in m_sizes)
-        sum_sub_k = sum(_ceil_div(bk, d) for bk in k_sizes)
-
-        rep = spec.repeat
-        load_bytes = float(nN * sum_me * sum_rowb * rep + nM * sum_k * sum_n * ib * rep)
-        store_bytes = float(sum_m * sum_n * ob * rep)
-        preload = cfg.weight_preload_cycles
-        compute = float(
-            rep
-            * (
-                sum_wtk * sum_wtn * (nM * preload + sum_m)
-                + iters_inner * d
-            )
-        )
-        macs = spec.m * spec.k * spec.n * rep
-        n_load_req = (nN * sum_sub_m * nK + nM * nN * sum_sub_k) * gs
-        n_store_req = nN * sum_sub_m_plain * gs
-        return {
-            "iters": iters_inner * gs,
-            "blocks": nM * nN * gs,
-            "load_bytes": load_bytes,
-            "store_bytes": store_bytes,
-            "compute": compute,
-            "macs": macs,
-            "n_load_req": n_load_req,
-            "n_store_req": n_store_req,
-        }
-
-    def _aggregate_gemm_closed(self, spec: GemmSpec, b: Blocking) -> dict:
-        """O(1) aggregate: ``count × value`` per distinct block size.
-
-        Mirrors :meth:`_aggregate_gemm_lists` term by term.  Each
-        dimension splits into ``q`` full blocks of size ``block`` plus
-        at most one edge block of size ``r``; every list sum therefore
-        collapses to ``q·f(block) + f(r)``.  All summands are ints, so
-        the collapse is exact (callers convert to float identically).
-        """
-        cfg = self.config
-        d = cfg.array_dim
-        ib, ob = cfg.input_bytes, cfg.output_bytes
         row_eff = max(ib, (spec.input_bytes_per_pass // max(spec.m, 1)) * ib)
 
         def split(total: int, block: int) -> Tuple[int, int, int]:
@@ -457,11 +365,9 @@ class TilingCompiler:
             "n_store_req": n_store_req,
         }
 
-    def _estimate_layer_time(
-        self, spec: GemmSpec, b: Blocking, closed: Optional[bool] = None
-    ) -> float:
+    def _estimate_layer_time(self, spec: GemmSpec, b: Blocking) -> float:
         """The analytic layer time the core will charge for this blocking."""
-        agg = self._aggregate_gemm(spec, b, closed=closed)
+        agg = self._aggregate_gemm(spec, b)
         bw = self.config.dram_bytes_per_cycle
         iters = agg["iters"]
         blocks = max(agg["blocks"], 1)
@@ -539,39 +445,7 @@ class TilingCompiler:
                                 last_k=(ki == k_steps - 1),
                             )
 
-        # Analytic summary.  On the fast path the closed-form aggregates
-        # stand in for the factory fold; both describe the same schedule
-        # and agree exactly (every term is an integer-valued float below
-        # 2**53, so the product form and the sequential sum are the same
-        # float — tests/unit/test_isa_compiler.py asserts `==`).
-        if fastpath.enabled():
-            agg = self._aggregate_gemm(spec, blocking)
-            n_iter = agg["iters"]
-            n_blocks = agg["blocks"]
-            load_bytes = agg["load_bytes"]
-            store_bytes = agg["store_bytes"]
-            compute_cycles = agg["compute"]
-            macs = agg["macs"]
-            n_load_req = agg["n_load_req"]
-            n_store_req = agg["n_store_req"]
-        else:
-            n_iter = 0
-            n_blocks = 0
-            load_bytes = 0.0
-            store_bytes = 0.0
-            compute_cycles = 0.0
-            macs = 0
-            n_load_req = 0
-            n_store_req = 0
-            for it in iterations():
-                n_iter += 1
-                n_blocks += 1 if it.end_of_block else 0
-                load_bytes += it.load_bytes
-                store_bytes += it.store_bytes
-                compute_cycles += it.compute_cycles
-                macs += it.macs
-                n_load_req += sum(t.request.sub_requests for t in it.loads)
-                n_store_req += sum(t.request.sub_requests for t in it.stores)
+        agg = self._aggregate_gemm(spec, blocking)
 
         spad_lines_used = min(
             cfg.spad_lines,
@@ -581,15 +455,15 @@ class TilingCompiler:
             name=spec.name,
             index=index,
             kind="gemm",
-            n_iterations=max(n_iter, 1),
-            n_blocks=max(n_blocks, 1),
-            load_bytes=load_bytes,
-            store_bytes=store_bytes,
-            compute_cycles=compute_cycles,
-            macs=macs,
+            n_iterations=max(agg["iters"], 1),
+            n_blocks=max(agg["blocks"], 1),
+            load_bytes=agg["load_bytes"],
+            store_bytes=agg["store_bytes"],
+            compute_cycles=agg["compute"],
+            macs=agg["macs"],
             spad_lines_used=max(spad_lines_used, 1),
-            n_load_requests=n_load_req,
-            n_store_requests=n_store_req,
+            n_load_requests=agg["n_load_req"],
+            n_store_requests=agg["n_store_req"],
             iteration_factory=iterations,
             gemm_meta={
                 "m": spec.m,

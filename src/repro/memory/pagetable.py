@@ -36,10 +36,6 @@ class PageTable:
             raise ConfigError(f"page table needs >= 1 level, got {levels}")
         self.levels = levels
         self._entries: Dict[int, PageTableEntry] = {}
-        #: Monotonic mutation counter: bumped on every map/unmap, so a
-        #: cache keyed on ``(table, version)`` stays sound across
-        #: arbitrary remapping sequences.
-        self.version = 0
 
     def map_page(
         self,
@@ -49,7 +45,6 @@ class PageTable:
         world: World = World.NORMAL,
     ) -> None:
         self._entries[vpage] = PageTableEntry(ppage=ppage, perm=perm, world=world)
-        self.version += 1
 
     def map_range(
         self,
@@ -74,8 +69,7 @@ class PageTable:
         vbase = page_of(vaddr)
         npages = -(-size // PAGE_SIZE)
         for i in range(npages):
-            if self._entries.pop(vbase + i, None) is not None:
-                self.version += 1
+            self._entries.pop(vbase + i, None)
 
     def lookup(self, vpage: int) -> Optional[PageTableEntry]:
         return self._entries.get(vpage)

@@ -9,7 +9,9 @@ Two timing paths produce the figures:
 * :meth:`NPUCore.run_detailed` — walks every tile iteration and pushes
   every DMA request through the access controller, so IOTLB hits/misses
   and page walks emerge from the actual page-touch sequence (Fig. 13).
-  With ``functional=True`` it also moves real bytes, which the security
+  Layers that :mod:`repro.sim.fastpath` proves contention-free are
+  replayed from their schedule instead, bit-identically.  With
+  ``functional=True`` it also moves real bytes, which the security
   tests rely on.
 
 A consistency test asserts the two paths agree under the Guarder.
@@ -391,11 +393,7 @@ class NPUCore:
         profiling = profiler.enabled
         if profiling:
             profiler.begin_run(program.task_name, "detailed")
-        fast_run = (
-            _fastpath.begin_run(self, program, share, flush)
-            if _fastpath.enabled()
-            else None
-        )
+        fast_run = _fastpath.begin_run(self, share, flush)
         layers: List[LayerResult] = []
         total = 0.0
         flush_total = 0.0

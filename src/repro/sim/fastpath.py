@@ -8,7 +8,7 @@ its page walks are a pure function of the page-touch sequence and the
 current IOTLB state, no flush boundary interrupts the pipeline, no world
 switch is in flight, and no attacker, tracer or functional data movement
 observes individual packets.  This module computes those layers directly
-from the tiling compiler's schedule — once — and *replays* every mutated
+from the tiling compiler's schedule and *replays* every mutated
 accumulator in the exact operation order of the event path, so the result
 is bit-identical by construction, not merely close.
 
@@ -29,26 +29,18 @@ Design rules that make the equivalence hold exactly:
   attacker attached, telemetry collectors that observe per-transfer events
   disabled.  Anything unprovable routes to the event simulator and bumps
   the ``sim.fastpath.fallbacks`` counter (plus a per-reason counter).
-* **Memoisation.**  Per-(layer, NPUConfig, protection, share) timing
-  bundles for stall-free controllers are memoised across runs, keyed by a
-  digest that includes the compiler-source digest — so one BERT layer is
-  costed once instead of once per experiment, and any change to the
-  simulator source, the NPU configuration or the protection mechanism
-  invalidates the memo.  Paging controllers are never memoised across
-  runs (their cost depends on mutable IOTLB state); their schedule fold
-  is still cached on the layer object itself.
+* **No state across runs.**  Each layer is folded, proven and replayed
+  inside one ``run_detailed`` call, and the fold is dropped when the
+  layer ends.  Nothing is cached on layer objects or in module globals,
+  so peak memory is one layer's fold and no cache can go stale.
 
-Enable with :func:`set_enabled` (the ``repro experiments --fast`` flag)
-or the ``REPRO_FASTPATH`` environment variable, which worker processes
-inherit.
+Every ``run_detailed`` call tries the fast path; the event simulator is
+the fallback and the reference.  :func:`forced` pins the event path for
+the differential tests.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
-import os
 from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -62,23 +54,12 @@ from repro.mmu.iommu import IOMMU
 from repro.mmu.smmu import TrustZoneSMMU
 from repro.telemetry.metrics import NULL_HISTOGRAM
 
-#: Environment flag checked by :func:`enabled`; ``"1"`` turns the fast
-#: path on.  Set via :func:`set_enabled` so pool workers inherit it.
-ENV_FLAG = "REPRO_FASTPATH"
-
 #: Metric group holding the fast-path counters
 #: (``sim.fastpath.fast_layers``, ``sim.fastpath.fallbacks``, ...).
 GROUP_PREFIX = "sim.fastpath"
 
-_FORCED: Optional[bool] = None
-
-#: Compiler/simulator source digest baked into every memo key (lazily the
-#: same digest the experiment result cache uses).  Tests monkeypatch this
-#: to prove the memo invalidates on source changes.
-_SOURCE_DIGEST: Optional[str] = None
-
-_FOLD_ATTR = "_fastpath_fold"
-_SIG_ATTR = "_fastpath_sig"
+#: Set only inside :func:`forced`; True pins the event simulator.
+_EVENT_ONLY = False
 
 _READ = Permission.READ
 _WRITE = Permission.WRITE
@@ -91,41 +72,21 @@ _WRITE_I = int(Permission.WRITE)
 _PERM_MASK = {member: int(member) for member in Permission}
 
 
-# ----------------------------------------------------------------------
-# Enable / disable plumbing
-# ----------------------------------------------------------------------
-def enabled() -> bool:
-    """True when the analytic fast path should be attempted."""
-    if _FORCED is not None:
-        return _FORCED
-    return os.environ.get(ENV_FLAG, "") not in ("", "0")
-
-
-def set_enabled(on: bool) -> None:
-    """Persistently enable/disable the fast path (inherited by workers)."""
-    os.environ[ENV_FLAG] = "1" if on else "0"
-
-
 @contextmanager
 def forced(on: bool) -> Iterator[None]:
-    """Force the fast path on/off for a ``with`` block (test helper)."""
-    global _FORCED
-    saved = _FORCED
-    _FORCED = bool(on)
+    """Pin the timing engine for a ``with`` block (test only).
+
+    ``forced(False)`` sends every ``run_detailed`` call to the event
+    simulator without touching the fallback counters: the reference leg
+    of the differential tests.  ``forced(True)`` is the default.
+    """
+    global _EVENT_ONLY
+    saved = _EVENT_ONLY
+    _EVENT_ONLY = not on
     try:
         yield
     finally:
-        _FORCED = saved
-
-
-def source_digest() -> str:
-    """Source digest folded into memo keys (see module docstring)."""
-    global _SOURCE_DIGEST
-    if _SOURCE_DIGEST is None:
-        from repro.experiments.cache import source_digest as _sd
-
-        _SOURCE_DIGEST = _sd()
-    return _SOURCE_DIGEST
+        _EVENT_ONLY = saved
 
 
 # ----------------------------------------------------------------------
@@ -161,20 +122,19 @@ def _fallback(reason: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# Schedule fold (once per layer object)
+# Schedule fold (one per layer per run, dropped when the layer ends)
 # ----------------------------------------------------------------------
 class _Fold:
-    """Everything the replay needs, extracted from one factory walk."""
+    """Everything the precheck and the replay need, from one factory walk."""
 
     __slots__ = (
         "iters", "subreq", "packets", "bytes_in", "bytes_out", "macs",
-        "page_need", "worlds", "hulls", "distinct", "pte_cache",
+        "page_need", "worlds", "hulls", "distinct",
     )
 
     def __init__(self) -> None:
         #: Per iteration: (loads, stores, compute_cycles, macs) where each
-        #: transfer is (size, sub_requests, num_packets, is_write, world,
-        #: pages, vaddr, span).
+        #: transfer is (size, pages).
         self.iters: List[tuple] = []
         self.subreq = 0
         self.packets = 0
@@ -188,10 +148,6 @@ class _Fold:
         self.hulls: Dict[tuple, list] = {}
         #: Distinct (vaddr, span, is_write, world) keys (Guarder precheck).
         self.distinct: Dict[tuple, None] = {}
-        #: (id(table), table.version, enforce, eff_worlds) -> (table,
-        #: pte_map): proven-safe PTE bundles, invalidated by the page
-        #: table's mutation counter.  The table reference pins its id.
-        self.pte_cache: Dict[tuple, tuple] = {}
 
 
 def _fold_transfer(fold: _Fold, transfer) -> tuple:
@@ -211,8 +167,7 @@ def _fold_transfer(fold: _Fold, transfer) -> tuple:
         page_need[page] = need if prior is None else (prior | need)
     fold.worlds.add(world)
     fold.subreq += req.sub_requests
-    npackets = req.num_packets
-    fold.packets += npackets
+    fold.packets += req.num_packets
     if is_write:
         fold.bytes_out += size
     else:
@@ -228,121 +183,23 @@ def _fold_transfer(fold: _Fold, transfer) -> tuple:
             hull[0] = req.vaddr
         if end > hull[1]:
             hull[1] = end
-    return (size, req.sub_requests, npackets, is_write, world, pages,
-            req.vaddr, span)
+    return (size, pages)
 
 
 def _fold_layer(layer) -> _Fold:
-    fold = getattr(layer, _FOLD_ATTR, None)
-    if fold is not None:
-        return fold
     fold = _Fold()
     for it in layer.iterations():
         loads = tuple(_fold_transfer(fold, t) for t in it.loads)
         stores = tuple(_fold_transfer(fold, t) for t in it.stores)
         fold.iters.append((loads, stores, it.compute_cycles, it.macs))
         fold.macs += it.macs
-    try:
-        setattr(layer, _FOLD_ATTR, fold)
-    except (AttributeError, TypeError):  # pragma: no cover - frozen layer
-        pass
     return fold
-
-
-# ----------------------------------------------------------------------
-# Cross-run memo (stall-free controllers only)
-# ----------------------------------------------------------------------
-class _MemoEntry:
-    __slots__ = ("per_iter", "agg", "hulls", "distinct")
-
-    def __init__(self, per_iter, agg, hulls, distinct) -> None:
-        self.per_iter = per_iter
-        self.agg = agg
-        self.hulls = hulls
-        self.distinct = distinct
-
-
-_MEMO: "Dict[str, _MemoEntry]" = {}
-_MEMO_MAX = 1024
-
-
-def clear_memo() -> None:
-    """Drop every memoised layer timing bundle (test/bench helper)."""
-    _MEMO.clear()
-
-
-def _memo_put(key: str, entry: _MemoEntry) -> None:
-    if len(_MEMO) >= _MEMO_MAX:
-        _MEMO.pop(next(iter(_MEMO)))
-    _MEMO[key] = entry
-
-
-def _program_sig(program) -> str:
-    sig = getattr(program, _SIG_ATTR, None)
-    if sig is None:
-        chunks = json.dumps(
-            {name: (rng.base, rng.size)
-             for name, rng in sorted(program.chunks.items())}
-        )
-        sig = program.measurement().hex() + "|" + chunks
-        try:
-            setattr(program, _SIG_ATTR, sig)
-        except (AttributeError, TypeError):  # pragma: no cover
-            pass
-    return sig
-
-
-def memo_key(config, program, layer_index: int, share: float,
-             kind: str) -> str:
-    """Memo key for one (layer, NPUConfig, protection, share) bundle.
-
-    Covers every NPUConfig field, the protection kind, the program's
-    schedule measurement + virtual chunk layout, and the simulator source
-    digest — any change to one of them misses the memo.
-    """
-    cfg = json.dumps(dataclasses.asdict(config), sort_keys=True, default=str)
-    digest = hashlib.sha256()
-    for part in (cfg, source_digest(), _program_sig(program),
-                 str(layer_index), repr(share), kind):
-        digest.update(part.encode())
-        digest.update(b"\0")
-    return digest.hexdigest()
-
-
-def _per_iter_streams(fold: _Fold, dram, share: float) -> list:
-    """Per-iteration (load_streams, store_streams, compute, macs).
-
-    Stream cycles are a pure function of (size, share); sizes repeat
-    across tiles, so they are computed once per distinct size.
-    """
-    cache: Dict[int, float] = {}
-    transfer_cycles = dram.transfer_cycles
-    out = []
-    for loads, stores, compute, macs in fold.iters:
-        load_streams = []
-        for t in loads:
-            size = t[0]
-            s = cache.get(size)
-            if s is None:
-                s = transfer_cycles(size, share)
-                cache[size] = s
-            load_streams.append(s)
-        store_streams = []
-        for t in stores:
-            size = t[0]
-            s = cache.get(size)
-            if s is None:
-                s = transfer_cycles(size, share)
-                cache[size] = s
-            store_streams.append(s)
-        out.append((tuple(load_streams), tuple(store_streams), compute, macs))
-    return out
 
 
 # ----------------------------------------------------------------------
 # Eligibility prechecks
 # ----------------------------------------------------------------------
-def _guarder_provable(ctrl: NPUGuarder, hulls, distinct) -> bool:
+def _guarder_provable(ctrl: NPUGuarder, fold: _Fold) -> bool:
     """True when every transfer provably passes the Guarder's datapath."""
     tregs = [r for r in ctrl.translation if r is not None]
     cregs = [c for c in ctrl.checking if c is not None]
@@ -352,7 +209,7 @@ def _guarder_provable(ctrl: NPUGuarder, hulls, distinct) -> bool:
         # One register pair: first-covering == only-covering, so the
         # per-group hull decides for every transfer inside it.
         treg, creg = tregs[0], cregs[0]
-        for (is_write, world), (lo, hi) in hulls.items():
+        for (is_write, world), (lo, hi) in fold.hulls.items():
             span = hi - lo
             if not treg.covers(lo, span):
                 return False
@@ -363,7 +220,7 @@ def _guarder_provable(ctrl: NPUGuarder, hulls, distinct) -> bool:
         return True
     translation = ctrl.translation
     checking = ctrl.checking
-    for vaddr, span, is_write, world in distinct:
+    for vaddr, span, is_write, world in fold.distinct:
         reg = None
         for r in translation:
             if r is not None and r.covers(vaddr, span):
@@ -417,13 +274,15 @@ def _paging_provable(ctrl: IOMMU, fold: _Fold, eff_worlds) -> Optional[dict]:
 # ----------------------------------------------------------------------
 # Replay kernels
 # ----------------------------------------------------------------------
-def _replay_stall_free(core, per_iter, agg) -> Tuple[float, float]:
+def _replay_stall_free(core, fold: _Fold, share: float
+                       ) -> Tuple[float, float]:
     """Replay one layer under a stall-free controller.
 
     Mirrors, per transfer: ``cycles = ISSUE + 0.0 + stream`` and the DMA
     engine's accumulator updates; per iteration: the segment pipeline of
     ``run_detailed``.  All float state is carried in locals updated in
-    event order and written back once.
+    event order and written back once.  Stream cycles are a pure
+    function of (size, share), so each distinct size is priced once.
     """
     dma = core.dma
     stats = dma.stats
@@ -434,15 +293,22 @@ def _replay_stall_free(core, per_iter, agg) -> Tuple[float, float]:
     issue_acc = stats.issue_cycles
     systolic = core.systolic
     busy = systolic.busy_cycles
+    transfer_cycles = dma.dram.transfer_cycles
+    stream_cache: Dict[int, float] = {}
+    stream_get = stream_cache.get
     seg_sum = 0.0
     seg_first = None
     seg_last = 0.0
     comp_sum = 0.0
     clock = None  # cursor value stamped on the audit ledger's clock
     extra = 0.0  # stall-free: outcome.extra_cycles is always 0.0
-    for load_streams, store_streams, compute, macs in per_iter:
+    for loads, stores, compute, macs in fold.iters:
         load = 0
-        for stream in load_streams:
+        for size, _pages in loads:
+            stream = stream_get(size)
+            if stream is None:
+                stream = transfer_cycles(size, share)
+                stream_cache[size] = stream
             cycles = issue + extra + stream
             issue_acc += issue
             stream_acc += stream
@@ -451,7 +317,11 @@ def _replay_stall_free(core, per_iter, agg) -> Tuple[float, float]:
             observe(cycles, cycle=cursor)
             load = load + cycles
         store = 0
-        for stream in store_streams:
+        for size, _pages in stores:
+            stream = stream_get(size)
+            if stream is None:
+                stream = transfer_cycles(size, share)
+                stream_cache[size] = stream
             cycles = issue + extra + stream
             issue_acc += issue
             stream_acc += stream
@@ -472,12 +342,12 @@ def _replay_stall_free(core, per_iter, agg) -> Tuple[float, float]:
     dma.cursor = cursor
     stats.stream_cycles = stream_acc
     stats.issue_cycles = issue_acc
-    stats.requests += agg[0]
-    stats.packets += agg[1]
-    stats.bytes_in += agg[2]
-    stats.bytes_out += agg[3]
+    stats.requests += fold.subreq
+    stats.packets += fold.packets
+    stats.bytes_in += fold.bytes_in
+    stats.bytes_out += fold.bytes_out
     systolic.busy_cycles = busy
-    systolic.macs_done += agg[4]
+    systolic.macs_done += fold.macs
     return layer_cycles, comp_sum
 
 
@@ -537,10 +407,10 @@ def _replay_paging(core, fold: _Fold, pte_map, share: float,
     stream_get = stream_cache.get
     for loads, stores, compute, macs in fold.iters:
         load = 0
-        for transfer in loads:
+        for size, pages in loads:
             clock = cursor
             pending = 0.0
-            for vpage in transfer[5]:
+            for vpage in pages:
                 if vpage in tlb:
                     tlb_move_end(vpage)
                     hits += 1
@@ -557,7 +427,6 @@ def _replay_paging(core, fold: _Fold, pte_map, share: float,
                     tlb[vpage] = None
                 last_vpage = vpage
             stall_acc += pending
-            size = transfer[0]
             stream = stream_get(size)
             if stream is None:
                 stream = transfer_cycles(size, share)
@@ -587,10 +456,10 @@ def _replay_paging(core, fold: _Fold, pte_map, share: float,
                     samples[slot] = (cursor, cycles)
             load = load + cycles
         store = 0
-        for transfer in stores:
+        for size, pages in stores:
             clock = cursor
             pending = 0.0
-            for vpage in transfer[5]:
+            for vpage in pages:
                 if vpage in tlb:
                     tlb_move_end(vpage)
                     hits += 1
@@ -607,7 +476,6 @@ def _replay_paging(core, fold: _Fold, pte_map, share: float,
                     tlb[vpage] = None
                 last_vpage = vpage
             stall_acc += pending
-            size = transfer[0]
             stream = stream_get(size)
             if stream is None:
                 stream = transfer_cycles(size, share)
@@ -695,11 +563,10 @@ _KINDS = {NoProtection: "none", NPUGuarder: "guarder",
 class FastRun:
     """Per-``run_detailed``-call fast-path context (one per eligible run)."""
 
-    __slots__ = ("core", "program", "share", "ctrl", "kind", "switches0")
+    __slots__ = ("core", "share", "ctrl", "kind", "switches0")
 
-    def __init__(self, core, program, share, ctrl, kind) -> None:
+    def __init__(self, core, share, ctrl, kind) -> None:
         self.core = core
-        self.program = program
         self.share = share
         self.ctrl = ctrl
         self.kind = kind
@@ -710,48 +577,26 @@ class FastRun:
         if layer.iteration_factory is None:
             _fallback("no_iterations")
             return None
-        kind = self.kind
-        ctrl = self.ctrl
-        core = self.core
-        if kind in ("none", "guarder"):
-            key = memo_key(core.config, self.program, layer.index,
-                           self.share, kind)
-            entry = _MEMO.get(key)
-            if entry is None:
-                _count("memo_misses")
-                try:
-                    fold = _fold_layer(layer)
-                except Exception:
-                    _fallback("fold_error")
-                    return None
-                agg = (fold.subreq, fold.packets, fold.bytes_in,
-                       fold.bytes_out, fold.macs)
-                entry = _MemoEntry(
-                    _per_iter_streams(fold, core.dma.dram, self.share),
-                    agg, dict(fold.hulls), tuple(fold.distinct),
-                )
-                _memo_put(key, entry)
-            else:
-                _count("memo_hits")
-            if kind == "guarder":
-                if not _guarder_provable(ctrl, entry.hulls, entry.distinct):
-                    _fallback("guarder_unprovable")
-                    return None
-            result = _replay_stall_free(core, entry.per_iter, entry.agg)
-            if kind == "guarder":
-                subreq = entry.agg[0]
-                ctrl.stats.translations += subreq
-                ctrl.stats.checks += subreq
-                telemetry.profiler.count("guarder.checks", subreq)
-            _count("fast_layers")
-            return result
-
-        # Paging controllers (IOMMU / TrustZone sMMU).
         try:
             fold = _fold_layer(layer)
         except Exception:
             _fallback("fold_error")
             return None
+        kind = self.kind
+        ctrl = self.ctrl
+        if kind in ("none", "guarder"):
+            if kind == "guarder" and not _guarder_provable(ctrl, fold):
+                _fallback("guarder_unprovable")
+                return None
+            result = _replay_stall_free(self.core, fold, self.share)
+            if kind == "guarder":
+                ctrl.stats.translations += fold.subreq
+                ctrl.stats.checks += fold.subreq
+                telemetry.profiler.count("guarder.checks", fold.subreq)
+            _count("fast_layers")
+            return result
+
+        # Paging controllers (IOMMU / TrustZone sMMU).
         if kind == "smmu":
             if ctrl.world_switches != self.switches0:
                 _fallback("world_switch")
@@ -765,36 +610,20 @@ class FastRun:
             eff_worlds = (ctrl.device_world,)
         else:
             eff_worlds = tuple(fold.worlds)
-        # The precheck result is a pure function of (page table state,
-        # enforce flag, worlds); the table's mutation counter keys a
-        # cache so repeated runs skip the per-page walk.
-        table = ctrl.page_table
-        version = getattr(table, "version", None)
-        pte_map = None
-        if version is not None:
-            cache_key = (id(table), version, ctrl.enforce_world, eff_worlds)
-            hit = fold.pte_cache.get(cache_key)
-            if hit is not None:
-                pte_map = hit[1]
-        if pte_map is None:
-            pte_map = _paging_provable(ctrl, fold, eff_worlds)
-            if pte_map is not None and version is not None:
-                cache = fold.pte_cache
-                if len(cache) >= 8:
-                    cache.pop(next(iter(cache)))
-                cache[cache_key] = (table, pte_map)
+        pte_map = _paging_provable(ctrl, fold, eff_worlds)
         if pte_map is None:
             _fallback("iommu_unprovable")
             return None
-        result = _replay_paging(core, fold, pte_map, self.share, ctrl)
+        result = _replay_paging(self.core, fold, pte_map, self.share, ctrl)
         _count("fast_layers")
         return result
 
 
-def begin_run(core, program, share: float, flush: Optional[str]
-              ) -> Optional[FastRun]:
+def begin_run(core, share: float, flush: Optional[str]) -> Optional[FastRun]:
     """Run-level eligibility gate; None (counted) when the whole run
-    must take the event path."""
+    must take the event path, None (uncounted) under ``forced(False)``."""
+    if _EVENT_ONLY:
+        return None
     if flush is not None:
         _fallback("flush")
         return None
@@ -829,4 +658,4 @@ def begin_run(core, program, share: float, flush: Optional[str]
         # Unknown controller subclass: its handle() may do anything.
         _fallback("controller")
         return None
-    return FastRun(core, program, share, ctrl, kind)
+    return FastRun(core, share, ctrl, kind)

@@ -86,13 +86,12 @@ def _assert_cell(exp_id: str, result_id: str, row: int, column: str,
 def test_golden(exp_id, fast, update_goldens):
     path = _golden_path(exp_id)
     if fast:
-        # The analytic fast path must reproduce every committed golden
+        # The default (fast) path must reproduce every committed golden
         # byte-for-byte (same floats, same strings, same ordering).
-        fastpath.clear_memo()
-        with fastpath.forced(True):
-            fresh = _snapshot(exp_id)
-    else:
         fresh = _snapshot(exp_id)
+    else:
+        with fastpath.forced(False):
+            fresh = _snapshot(exp_id)
     if update_goldens:
         if fast:
             return  # goldens are written once, from the event-path leg

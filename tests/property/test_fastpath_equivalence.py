@@ -1,14 +1,15 @@
 """Differential-equivalence harness for the analytic fast path.
 
 Acceptance criterion of :mod:`repro.sim.fastpath`: running any workload
-with the fast path enabled must be **observably indistinguishable** from
-the event simulator — bit-identical cycles (not approximately equal:
-``==`` on floats), bit-identical per-layer results, DMA/controller
-statistics, IOTLB state, profiler attribution (Fraction-exact category
-splits), metrics snapshots and audit ledger.  The fallback predicate is
-property-tested: any schedule the analytic model cannot prove clean must
-route to the event path (bumping ``sim.fastpath.fallbacks``) and still
-produce identical outcomes — including identical exceptions and identical
+on the default (fast) path must be **observably indistinguishable** from
+the event simulator, pinned with ``fastpath.forced(False)`` —
+bit-identical cycles (not approximately equal: ``==`` on floats),
+bit-identical per-layer results, DMA/controller statistics, IOTLB
+state, profiler attribution (Fraction-exact category splits), metrics
+snapshots and audit ledger.  The fallback predicate is property-tested:
+any schedule the analytic model cannot prove clean must route to the
+event path (bumping ``sim.fastpath.fallbacks``) and still produce
+identical outcomes — including identical exceptions and identical
 partially-mutated statistics when the run faults.
 """
 
@@ -80,7 +81,6 @@ def _profiler_state(scope):
 def _run_soc(model_name, protection, fast, secure=False):
     """One full SoC detailed run; returns (observables, fast counters)."""
     model = _build(model_name)
-    fastpath.clear_memo()
     with fastpath.forced(fast):
         with telemetry.scoped(trace=False) as scope:
             soc = SoC(SoCConfig(protection=protection))
@@ -317,10 +317,8 @@ def test_fallback_predicate_property(builder, kind, flush, share, attacker):
     """For ANY scenario — clean or not — both paths are bit-identical,
     and anything the analytic model cannot prove routes to the event
     simulator (visible in the fallback counter)."""
-    fastpath.clear_memo()
     slow, slow_counts = _run_core(builder, kind, flush, share, attacker,
                                   fast=False)
-    fastpath.clear_memo()
     fast, fast_counts = _run_core(builder, kind, flush, share, attacker,
                                   fast=True)
     assert slow.keys() == fast.keys()
@@ -356,10 +354,8 @@ def test_unprovable_schedule_routes_to_event_path():
     """A page-table hole is unprovable: the fast leg must fall back and
     then fault exactly like the event leg (same exception, same partial
     DMA/controller statistics, same audit denial record)."""
-    fastpath.clear_memo()
     slow, _ = _run_core(synthetic_mlp, "iommu-hole", None, 1.0, False,
                         fast=False)
-    fastpath.clear_memo()
     fast, fast_counts = _run_core(synthetic_mlp, "iommu-hole", None, 1.0,
                                   False, fast=True)
     assert slow["error"] == fast["error"] is not None

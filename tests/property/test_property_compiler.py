@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from repro.driver.compiler import TilingCompiler
 from repro.npu.config import NPUConfig
 from repro.workloads.model import GemmSpec
+from tests.unit.test_isa_compiler import aggregate_gemm_lists
 
 CFG = NPUConfig.paper_default()
 COMPILER = TilingCompiler(CFG)
@@ -50,6 +51,11 @@ def test_blocking_respects_budgets(spec, budget_kb):
 def test_aggregates_are_consistent(spec):
     b = COMPILER._choose_blocking(spec, CFG.spad_bytes, CFG.acc_bytes_total)
     agg = COMPILER._aggregate_gemm(spec, b)
+    # The O(1) closed form equals the per-block list oracle bit for bit.
+    oracle = aggregate_gemm_lists(CFG, spec, b)
+    assert agg.keys() == oracle.keys()
+    for key, expected in oracle.items():
+        assert agg[key] == expected and type(agg[key]) is type(expected), key
     # MACs are exact regardless of blocking.
     assert agg["macs"] == spec.m * spec.k * spec.n * spec.repeat
     # Output is written exactly once.

@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -62,6 +64,19 @@ class TestCommands:
 
     def test_experiments_unknown(self, capsys):
         assert main(["experiments", "fig99"]) == 2
+
+    def test_experiments_fig13_uses_fast_path_by_default(self, tmp_path):
+        """No flag or environment variable selects an engine: fig13's
+        detailed runs are priced by the fast path, with no fallback."""
+        outdir = tmp_path / "out"
+        assert main([
+            "experiments", "fig13", "--profile", "tiny", "--no-cache",
+            "--outdir", str(outdir),
+        ]) == 0
+        metrics = json.loads((outdir / "fig13.metrics.json").read_text())
+        assert metrics.get("sim.fastpath.fast_layers", 0) > 0
+        assert not any(key.startswith("sim.fastpath.fallbacks")
+                       for key in metrics)
 
     def test_disasm(self, capsys):
         assert main(["disasm", "yololite", "--limit", "8"]) == 0
