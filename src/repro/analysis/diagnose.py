@@ -26,7 +26,8 @@ Determinism contract
 A diagnosis contains only quantities derived from seeded simulation or
 archived canonical rows — no wall-clock, no hostname, no environment —
 so the same pair diagnosed twice renders byte-identical output in every
-format (the CI ``diagnose-smoke`` job ``cmp``'s two JSON dumps).
+format (``tests/integration/test_cli_contract.py`` compares two JSON
+dumps).
 """
 
 from __future__ import annotations

@@ -32,15 +32,9 @@ import sys
 from typing import List, Optional
 
 from repro import SoC, SoCConfig, telemetry
-from repro.errors import ReproError
+from repro.errors import AllocationError, ConfigError, ReproError, StoreError
 from repro.npu.config import NPUConfig
 from repro.workloads import zoo
-
-EXPERIMENT_IDS = (
-    "fig01", "fig13", "fig13-energy", "fig14", "fig15", "fig16", "fig17",
-    "fig18", "table1", "tcb", "sensitivity", "serve-sweep", "access-paths",
-    "watch", "all",
-)
 
 
 def _cmd_models(args: argparse.Namespace) -> int:
@@ -68,9 +62,10 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _resolve_model(name: str, input_size: int):
-    """Build a zoo model by name, or None if the name is unknown."""
+    """Build a zoo model by name; ConfigError if the name is unknown."""
     if name not in zoo.MODEL_BUILDERS:
-        return None
+        raise ConfigError(f"unknown model {name!r}; choose from "
+                          f"{', '.join(zoo.MODEL_BUILDERS)}")
     if name == "bert":
         return zoo.bert(seq_len=128, layers=6)
     if name == "gpt":
@@ -80,10 +75,6 @@ def _resolve_model(name: str, input_size: int):
 
 def _cmd_run(args: argparse.Namespace) -> int:
     model = _resolve_model(args.model, args.input_size)
-    if model is None:
-        print(f"unknown model {args.model!r}; choose from "
-              f"{', '.join(zoo.MODEL_BUILDERS)}", file=sys.stderr)
-        return 2
     from repro.store import ingest_quietly
     from repro.store.ingest import record_from_run
 
@@ -116,8 +107,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_protections(values: List[str]) -> Optional[List[str]]:
-    """Validate attack-matrix protection names; None on a bad one.
+def _check_protections(values: List[str]) -> List[str]:
+    """Validate attack-matrix protection names; ConfigError on a bad one.
 
     (argparse's ``choices`` cannot express "zero or more of these, both
     when absent": it validates the empty/default list itself.)
@@ -125,9 +116,8 @@ def _check_protections(values: List[str]) -> Optional[List[str]]:
     values = values or ["none", "snpu"]
     for value in values:
         if value not in ("none", "snpu"):
-            print(f"unknown protection {value!r}; choose none or snpu",
-                  file=sys.stderr)
-            return None
+            raise ConfigError(
+                f"unknown protection {value!r}; choose none or snpu")
     return values
 
 
@@ -137,8 +127,6 @@ def _cmd_attacks(args: argparse.Namespace) -> int:
     from repro.store.ingest import record_from_attacks
 
     protections = _check_protections(args.protections)
-    if protections is None:
-        return 2
     matrix = {}
     for protection in protections:
         print(f"== protection: {protection} ==")
@@ -172,9 +160,8 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         return 0
     for exp_id in ids:
         if exp_id not in REGISTRY:
-            print(f"unknown experiment {exp_id!r}; choose from "
-                  f"{', '.join(EXPERIMENT_IDS)}", file=sys.stderr)
-            return 2
+            raise ConfigError(f"unknown experiment {exp_id!r}; choose from "
+                              f"{', '.join(REGISTRY.ids() + ['all'])}")
     run = run_parallel(
         ids, profile=args.profile, jobs=args.jobs, outdir=args.outdir,
         use_cache=args.cache, cache_dir=args.cache_dir,
@@ -217,10 +204,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     """Run one workload and dump the telemetry registry's snapshot."""
     model = _resolve_model(args.model, args.input_size)
-    if model is None:
-        print(f"unknown model {args.model!r}; choose from "
-              f"{', '.join(zoo.MODEL_BUILDERS)}", file=sys.stderr)
-        return 2
     from repro.store import ingest_quietly
     from repro.store.ingest import record_from_stats
 
@@ -251,16 +234,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             lines.append(f"  {name.ljust(width)}  {shown}")
         return "\n".join(lines)
 
-    fmt = args.format or ("json" if args.json else "table")
-    payload = _format_payload(fmt, {
+    print(_format_payload(args.format, {
         "json": lambda: json.dumps(
             snapshot, indent=2, default=str, sort_keys=True
         ),
         "table": render_table,
-    })
-    if payload is None:
-        return 2
-    print(payload)
+    }))
     return 0
 
 
@@ -297,29 +276,25 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     with telemetry.scoped(trace=True) as scope:
         if target.endswith(".py"):
             if not os.path.exists(target):
-                print(f"no such script {target!r}", file=sys.stderr)
-                return 2
+                raise ConfigError(f"no such script {target!r}")
             import runpy
 
             try:
                 runpy.run_path(target, run_name="__main__")
             except SystemExit as exc:
                 if exc.code not in (None, 0):
-                    print(f"script {target!r} exited with {exc.code}",
-                          file=sys.stderr)
-                    return 2
+                    raise ConfigError(
+                        f"script {target!r} exited with {exc.code}"
+                    ) from None
             except Exception as exc:  # noqa: BLE001 - surface one line
-                print(f"script {target!r} failed: "
-                      f"{type(exc).__name__}: {exc}", file=sys.stderr)
-                return 2
+                raise ConfigError(f"script {target!r} failed: "
+                                  f"{type(exc).__name__}: {exc}") from None
+        elif target in zoo.MODEL_BUILDERS:
+            _trace_scenario(_resolve_model(target, args.input_size))
         else:
-            model = _resolve_model(target, args.input_size)
-            if model is None:
-                print(
-                    f"trace target must be a .py script or a model name "
-                    f"({', '.join(zoo.MODEL_BUILDERS)})", file=sys.stderr)
-                return 2
-            _trace_scenario(model)
+            raise ConfigError(
+                f"trace target must be a .py script or a model name "
+                f"({', '.join(zoo.MODEL_BUILDERS)})")
         payload = scope.tracer.to_chrome_trace(indent=2)
         snapshot = scope.metrics.snapshot()
         categories = scope.tracer.categories()
@@ -381,10 +356,6 @@ def _cmd_flows(args: argparse.Namespace) -> int:
     from repro.npu.core import NPUCore
 
     model = _resolve_model(args.model, args.input_size)
-    if model is None:
-        print(f"unknown model {args.model!r}; choose from "
-              f"{', '.join(zoo.MODEL_BUILDERS)}", file=sys.stderr)
-        return 2
     config = NPUConfig.paper_default()
     program = TilingCompiler(config).compile(model)
     with telemetry.scoped(
@@ -416,8 +387,6 @@ def _cmd_flows(args: argparse.Namespace) -> int:
         fmt: (lambda f=fmt: report.render(f))
         for fmt in ("table", "md", "json")
     })
-    if payload is None:
-        return 2
     from repro.store import ingest_quietly
     from repro.store.ingest import record_from_flows
 
@@ -449,8 +418,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     from repro.telemetry.audit import AuditLedger
 
     protections = _check_protections(args.protections)
-    if protections is None:
-        return 2
     items = [
         (protection, name)
         for protection in protections
@@ -488,8 +455,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         "summary": render_summary,
         "jsonl": ledger.to_jsonl,
     })
-    if payload is None:
-        return 2
     from repro.store import ingest_quietly
     from repro.store.ingest import record_from_audit
 
@@ -537,8 +502,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         fmt: (lambda f=fmt: report.render(f))
         for fmt in ("table", "json")
     })
-    if payload is None:
-        return 2
     from repro.store import ingest_quietly
     from repro.store.ingest import record_from_serve
 
@@ -592,8 +555,6 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
         fmt: (lambda f=fmt: report.render(f))
         for fmt in ("table", "json")
     })
-    if payload is None:
-        return 2
     from repro.store import ingest_quietly
     from repro.store.ingest import record_from_cluster
 
@@ -628,9 +589,10 @@ def _serve_windowed(args: argparse.Namespace, window_ms: float):
 def _cmd_watch(args: argparse.Namespace) -> int:
     """Live per-window timeline of one serving run.
 
-    The output is byte-deterministic for a fixed seed (the CI smoke job
-    runs it twice and compares bytes); the per-window partial sums are
-    reconciled exactly against the run totals before anything prints.
+    The output is byte-deterministic for a fixed seed
+    (``tests/integration/test_cli_contract.py`` runs it twice and compares
+    bytes); the per-window partial sums are reconciled exactly against
+    the run totals before anything prints.
     """
     scenario, outcome = _serve_windowed(args, args.window)
     windows = outcome.windows
@@ -695,8 +657,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         "json": render_json,
         "table": render_table,
     })
-    if payload is None:
-        return 2
     from repro.store import ingest_quietly
     from repro.store.ingest import record_from_watch
 
@@ -706,22 +666,13 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def _cmd_slo(args: argparse.Namespace) -> int:
-    """Evaluate an SLO spec against a live run; exit non-zero on breach."""
-    from repro.errors import ConfigError
+    """Evaluate an SLO spec against a live run; exit 1 on breach."""
     from repro.telemetry.slo import SLOSpec, evaluate
 
-    try:
-        spec = SLOSpec.load(args.spec)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = SLOSpec.load(args.spec)
     if spec.scenario and spec.scenario != args.scenario:
-        print(
-            f"error: spec {args.spec!r} targets scenario "
-            f"{spec.scenario!r}, not {args.scenario!r}",
-            file=sys.stderr,
-        )
-        return 2
+        raise ConfigError(f"spec {args.spec!r} targets scenario "
+                          f"{spec.scenario!r}, not {args.scenario!r}")
     scenario, outcome = _serve_windowed(args, spec.window_ms)
     assert outcome.windows is not None
     report = evaluate(spec, outcome.windows.timeline())
@@ -729,8 +680,6 @@ def _cmd_slo(args: argparse.Namespace) -> int:
         fmt: (lambda f=fmt: report.render(f))
         for fmt in ("table", "json")
     })
-    if payload is None:
-        return 2
     from repro.store import ingest_quietly
     from repro.store.ingest import record_from_slo
 
@@ -749,10 +698,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
 
     model = _resolve_model(args.model, args.input_size)
-    if model is None:
-        print(f"unknown model {args.model!r}; choose from "
-              f"{', '.join(zoo.MODEL_BUILDERS)}", file=sys.stderr)
-        return 2
 
     if args.host:
         report = profile_host(
@@ -774,9 +719,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if args.diff:
         base_name = "none" if args.diff == "baseline" else args.diff
         if base_name not in ("none", "trustzone", "snpu"):
-            print(f"unknown protection {args.diff!r} for --diff; choose "
-                  f"baseline, none, trustzone or snpu", file=sys.stderr)
-            return 2
+            raise ConfigError(f"unknown protection {args.diff!r} for --diff; "
+                              f"choose baseline, none, trustzone or snpu")
         base = profile_model(
             model, protection=base_name, detailed=not args.analytic,
             secure=args.secure and base_name != "none",
@@ -787,8 +731,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             "md": lambda: diff.to_table(markdown=True),
             "table": lambda: diff.to_table(markdown=False),
         })
-        if payload is None:
-            return 2
         _emit(payload, args.out)
         return 0
 
@@ -798,25 +740,20 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         "folded": profile.to_folded,
         "table": profile.to_table,
     })
-    if payload is None:
-        return 2
     _emit(payload, args.out)
     return 0
 
 
-def _format_payload(fmt: str, renderers) -> Optional[str]:
+def _format_payload(fmt: str, renderers) -> str:
     """Shared ``--format`` dispatch for every report-emitting verb.
 
     *renderers* maps format name -> zero-arg callable producing the
-    payload.  An unknown format prints one line to stderr and returns
-    None; the caller returns exit code 2.  (One helper instead of five
-    per-verb copies, so the error contract cannot drift between verbs.)
+    payload; an unknown format is a ConfigError.
     """
     renderer = renderers.get(fmt)
     if renderer is None:
-        print(f"unknown format {fmt!r}; choose from "
-              f"{', '.join(sorted(renderers))}", file=sys.stderr)
-        return None
+        raise ConfigError(f"unknown format {fmt!r}; choose from "
+                          f"{', '.join(sorted(renderers))}")
     return renderer()
 
 
@@ -847,38 +784,26 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     With ``--history N`` the *last* file is additionally gated against
     the median of the last N archived runs of the same benchmark; one
     file + ``--history N`` runs the history gate alone.  Exit 1 on any
-    regression, 2 on usage/environment errors.
+    regression.
     """
-    from repro.errors import StoreError
     from repro.telemetry.regression import (
-        compare_bench_files, compare_bench_history,
+        compare_bench_files, compare_bench_history, load_bench,
     )
 
     files = list(args.files)
     if len(files) > 2:
-        print("bench diff takes at most two files (old new)",
-              file=sys.stderr)
-        return 2
+        raise ConfigError("bench diff takes at most two files (old new)")
     if len(files) == 1 and not args.history:
-        print("bench diff needs two files, or one file with --history N",
-              file=sys.stderr)
-        return 2
-    for path in files:
-        if not os.path.exists(path):
-            print(f"no such bench file {path!r}", file=sys.stderr)
-            return 2
+        raise ConfigError(
+            "bench diff needs two files, or one file with --history N")
 
     ok = True
     if len(files) == 2:
-        try:
-            comparison = compare_bench_files(
-                files[0], files[1],
-                timing_tolerance=args.timing_tolerance,
-                deterministic_tolerance=args.deterministic_tolerance,
-            )
-        except (json.JSONDecodeError, OSError) as exc:
-            print(f"cannot compare bench files: {exc}", file=sys.stderr)
-            return 2
+        comparison = compare_bench_files(
+            files[0], files[1],
+            timing_tolerance=args.timing_tolerance,
+            deterministic_tolerance=args.deterministic_tolerance,
+        )
         print(f"bench diff: {files[0]} -> {files[1]}")
         print(comparison.format_table(), end="")
         ok = ok and comparison.ok
@@ -887,26 +812,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         from repro.store import RunStore
 
         new_path = files[-1]
-        try:
-            with open(new_path) as fh:
-                payload = json.load(fh)
-        except (json.JSONDecodeError, OSError) as exc:
-            print(f"cannot read bench file {new_path!r}: {exc}",
-                  file=sys.stderr)
-            return 2
+        payload = load_bench(new_path)
         bench_id = args.bench_id or _bench_id_of(new_path, payload)
-        try:
-            histories = RunStore(args.store).bench_history(
-                bench_id, last=args.history
-            )
-        except StoreError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        histories = RunStore(args.store).bench_history(
+            bench_id, last=args.history
+        )
         if not histories:
-            print(f"no archived runs of benchmark {bench_id!r} to gate "
-                  f"against (run benchmarks/bench_{bench_id}.py first)",
-                  file=sys.stderr)
-            return 2
+            raise ConfigError(
+                f"no archived runs of benchmark {bench_id!r} to gate "
+                f"against (run benchmarks/bench_{bench_id}.py first)")
         comparison = compare_bench_history(
             histories, payload,
             timing_tolerance=args.timing_tolerance,
@@ -938,45 +852,29 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     archived history (``--history N``); or two live configurations run
     back-to-back (``repro diagnose fig13 --a snpu --b trustzone``).
     """
-    from repro.errors import StoreError
-
     targets = list(args.targets)
     live = args.side_a is not None or args.side_b is not None
-    try:
-        if len(targets) == 2 and not live:
-            from repro.analysis.diagnose import diagnose_archived
-            from repro.store import RunStore
+    if len(targets) == 2 and not live:
+        from repro.analysis.diagnose import diagnose_archived
+        from repro.store import RunStore
 
-            diagnosis = diagnose_archived(
-                RunStore(args.store), targets[0], targets[1]
-            )
-        elif len(targets) == 1 and targets[0].endswith(".json"):
-            diagnosis = _diagnose_bench_file(args, targets[0])
-        elif len(targets) == 1 and live:
-            if args.side_a is None or args.side_b is None:
-                print("live diagnose needs both --a and --b",
-                      file=sys.stderr)
-                return 2
-            diagnosis = _diagnose_live(args, targets[0])
-        else:
-            print(
-                "diagnose takes two archived run ids, one BENCH_*.json "
-                "with --history N, or one model/scenario/fig13 with "
-                "--a and --b",
-                file=sys.stderr,
-            )
-            return 2
-    except StoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if diagnosis is None:
-        return 2
+        diagnosis = diagnose_archived(
+            RunStore(args.store), targets[0], targets[1]
+        )
+    elif len(targets) == 1 and targets[0].endswith(".json"):
+        diagnosis = _diagnose_bench_file(args, targets[0])
+    elif len(targets) == 1 and live:
+        if args.side_a is None or args.side_b is None:
+            raise ConfigError("live diagnose needs both --a and --b")
+        diagnosis = _diagnose_live(args, targets[0])
+    else:
+        raise ConfigError(
+            "diagnose takes two archived run ids, one BENCH_*.json with "
+            "--history N, or one model/scenario/fig13 with --a and --b")
     payload = _format_payload(args.format, {
         fmt: (lambda f=fmt: diagnosis.render(f))
         for fmt in ("table", "md", "json")
     })
-    if payload is None:
-        return 2
     _emit(payload, args.out)
     return 0
 
@@ -985,28 +883,19 @@ def _diagnose_bench_file(args: argparse.Namespace, path: str):
     """Bench mode: fresh BENCH file vs its archived history median."""
     from repro.analysis.diagnose import diagnose_bench
     from repro.store import RunStore
+    from repro.telemetry.regression import load_bench
 
     if not args.history:
-        print("diagnosing a bench file needs --history N", file=sys.stderr)
-        return None
-    if not os.path.exists(path):
-        print(f"no such bench file {path!r}", file=sys.stderr)
-        return None
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (json.JSONDecodeError, OSError) as exc:
-        print(f"cannot read bench file {path!r}: {exc}", file=sys.stderr)
-        return None
+        raise ConfigError("diagnosing a bench file needs --history N")
+    payload = load_bench(path)
     bench_id = args.bench_id or _bench_id_of(path, payload)
     histories = RunStore(args.store).bench_history(
         bench_id, last=args.history
     )
     if not histories:
-        print(f"no archived runs of benchmark {bench_id!r} to diagnose "
-              f"against (run benchmarks/bench_{bench_id}.py first)",
-              file=sys.stderr)
-        return None
+        raise ConfigError(
+            f"no archived runs of benchmark {bench_id!r} to diagnose "
+            f"against (run benchmarks/bench_{bench_id}.py first)")
     return diagnose_bench(histories, payload, bench_id)
 
 
@@ -1025,9 +914,8 @@ def _diagnose_live(args: argparse.Namespace, target: str):
 
         for side in (args.side_a, args.side_b):
             if side not in MECHANISMS:
-                print(f"unknown mechanism {side!r}; choose from "
-                      f"{', '.join(MECHANISMS)}", file=sys.stderr)
-                return None
+                raise ConfigError(f"unknown mechanism {side!r}; choose from "
+                                  f"{', '.join(MECHANISMS)}")
         scenario = SCENARIOS[target]
         reports = []
         for mechanism in (args.side_a, args.side_b):
@@ -1043,19 +931,18 @@ def _diagnose_live(args: argparse.Namespace, target: str):
     from repro.analysis.profile import profile_model
 
     model_name = "resnet" if target == "fig13" else target
+    if model_name not in zoo.MODEL_BUILDERS:
+        raise ConfigError(
+            f"unknown diagnose target {target!r}; choose a model "
+            f"({', '.join(zoo.MODEL_BUILDERS)}), a serving scenario "
+            f"({', '.join(sorted(SCENARIOS))}) or fig13")
     model = _resolve_model(model_name, args.input_size)
-    if model is None:
-        print(f"unknown diagnose target {target!r}; choose a model "
-              f"({', '.join(zoo.MODEL_BUILDERS)}), a serving scenario "
-              f"({', '.join(sorted(SCENARIOS))}) or fig13", file=sys.stderr)
-        return None
     profiles = []
     for side in (args.side_a, args.side_b):
         protection = "none" if side == "baseline" else side
         if protection not in ("none", "trustzone", "snpu"):
-            print(f"unknown protection {side!r}; choose baseline, none, "
-                  f"trustzone or snpu", file=sys.stderr)
-            return None
+            raise ConfigError(f"unknown protection {side!r}; choose "
+                              f"baseline, none, trustzone or snpu")
         profiles.append(profile_model(
             model, protection=protection, detailed=not args.analytic,
             secure=args.secure and protection != "none",
@@ -1071,7 +958,6 @@ def _diagnose_live(args: argparse.Namespace, target: str):
 
 def _cmd_query(args: argparse.Namespace) -> int:
     """Canned or raw read-only SQL over the run archive."""
-    from repro.errors import StoreError
     from repro.store import RunStore
     from repro.store.queries import CANNED, format_rows, run_query
 
@@ -1081,47 +967,31 @@ def _cmd_query(args: argparse.Namespace) -> int:
         for name in sorted(CANNED):
             print(f"  {name.ljust(width)}  {CANNED[name][0]}")
         return 0
-    try:
-        columns, rows = run_query(RunStore(args.store), args.query)
-    except StoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    columns, rows = run_query(RunStore(args.store), args.query)
     _emit(format_rows(columns, rows), args.out)
     return 0
 
 
 def _cmd_history(args: argparse.Namespace) -> int:
     """Per-metric trend table across archived runs."""
-    from repro.errors import StoreError
     from repro.store import RunStore
     from repro.store.queries import history_table
 
-    try:
-        table = history_table(
-            RunStore(args.store), args.metric, last=args.last
-        )
-    except StoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit(table, args.out)
+    _emit(history_table(RunStore(args.store), args.metric, last=args.last),
+          args.out)
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     """Render the self-contained HTML dashboard of the run archive."""
-    from repro.errors import StoreError
     from repro.store import RunStore
     from repro.store.report import build_report, default_goldens_dir
 
     goldens = args.goldens if args.goldens is not None \
         else default_goldens_dir()
-    try:
-        html_payload = build_report(
-            RunStore(args.store), goldens, compare=args.compare
-        )
-    except StoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    html_payload = build_report(
+        RunStore(args.store), goldens, compare=args.compare
+    )
     with open(args.out, "w") as fh:
         fh.write(html_payload)
     print(f"dashboard written to {args.out}")
@@ -1143,13 +1013,12 @@ def _cmd_disasm(args: argparse.Namespace) -> int:
         disassemble, instruction_histogram, lower_program,
     )
 
-    if args.model not in zoo.MODEL_BUILDERS:
-        print(f"unknown model {args.model!r}", file=sys.stderr)
-        return 2
+    if args.limit < 0:
+        raise ConfigError(f"--limit must be >= 0, got {args.limit}")
     if args.model in ("bert", "gpt"):
         model = zoo.MODEL_BUILDERS[args.model](64, 2)
     else:
-        model = zoo.MODEL_BUILDERS[args.model](args.input_size)
+        model = _resolve_model(args.model, args.input_size)
     program = TilingCompiler(NPUConfig.paper_default()).compile(model)
     stream = lower_program(program)
     if args.limit:
@@ -1170,7 +1039,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_models = sub.add_parser("models", help="list the workload zoo")
-    p_models.add_argument("--input-size", type=int, default=224)
     p_models.set_defaults(func=_cmd_models)
 
     p_info = sub.add_parser("info", help="print the Table II configuration")
@@ -1184,7 +1052,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--secure", action="store_true")
     p_run.add_argument("--detailed", action="store_true",
                        help="simulate every DMA descriptor (slower)")
-    p_run.add_argument("--input-size", type=int, default=112)
     p_run.set_defaults(func=_cmd_run)
 
     p_attacks = sub.add_parser("attacks", help="execute the attack matrix")
@@ -1194,7 +1061,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiments", help="regenerate tables/figures")
     p_exp.add_argument("ids", nargs="*", metavar="ID",
-                       help=", ".join(EXPERIMENT_IDS))
+                       help="experiment ids, or all (default: all)")
     p_exp.add_argument("--profile", choices=("tiny", "eval", "paper"),
                        default="eval")
     p_exp.add_argument(
@@ -1242,12 +1109,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--secure", action="store_true")
     p_stats.add_argument("--detailed", action="store_true",
                          help="simulate every DMA descriptor (slower)")
-    p_stats.add_argument("--input-size", type=int, default=112)
-    p_stats.add_argument("--json", action="store_true",
-                         help="emit the snapshot as JSON (same as "
-                              "--format json)")
-    p_stats.add_argument("--format", default=None, metavar="FMT",
-                         help="table or json (default table)")
     p_stats.set_defaults(func=_cmd_stats)
 
     p_trace = sub.add_parser(
@@ -1258,9 +1119,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="a .py script to run under tracing, or a model name for the "
              "built-in multi-subsystem scenario",
     )
-    p_trace.add_argument("-o", "--out", default="trace.json",
-                         help="trace output path (default trace.json)")
-    p_trace.add_argument("--input-size", type=int, default=112)
     p_trace.add_argument("--timeline", action="store_true",
                          help="also print a plain-text timeline")
     p_trace.set_defaults(func=_cmd_trace)
@@ -1280,15 +1138,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--stage", default=None, metavar="NAME",
         help="only flows containing this stage; rank the top-K by its span",
     )
-    p_flows.add_argument("--format", default="table", metavar="FMT",
-                         help="table, md or json (default table)")
-    p_flows.add_argument("-o", "--out", default=None, metavar="PATH",
-                         help="write the report here instead of stdout")
     p_flows.add_argument(
         "--trace", default=None, metavar="PATH",
         help="also write a Chrome-trace with flow arrows (Perfetto)",
     )
-    p_flows.add_argument("--input-size", type=int, default=112)
     p_flows.set_defaults(func=_cmd_flows)
 
     p_audit = sub.add_parser(
@@ -1302,12 +1155,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run attacks across N worker processes (default 1; the "
              "ledger bytes are identical for any N)",
     )
-    p_audit.add_argument("--format", default="summary", metavar="FMT",
-                         help="summary or jsonl (default summary)")
-    p_audit.add_argument("-o", "--out", default=None, metavar="PATH",
-                         help="write the ledger here instead of stdout")
     p_audit.set_defaults(func=_cmd_audit)
 
+    from repro.serving.cluster import CLUSTER_POLICIES, DEFAULT_DETAIL_MS
     from repro.serving.policies import POLICIES
     from repro.serving.queueing import MECHANISMS
     from repro.serving.workload import SCENARIOS
@@ -1316,30 +1166,6 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve a multi-tenant traffic scenario (per-tenant SLA report)",
     )
-    p_serve.add_argument(
-        "scenario", nargs="?", default="default", choices=sorted(SCENARIOS),
-        help="tenant population to serve (default: default)",
-    )
-    p_serve.add_argument(
-        "--mechanism", choices=MECHANISMS, default="snpu",
-        help="isolation mechanism under test (default snpu)",
-    )
-    p_serve.add_argument(
-        "--policy", choices=POLICIES, default="rr",
-        help="dispatch policy (default rr)",
-    )
-    p_serve.add_argument(
-        "--rps", type=float, default=None, metavar="R",
-        help="aggregate request rate (default: the scenario's)",
-    )
-    p_serve.add_argument(
-        "--duration", type=float, default=None, metavar="MS",
-        help="admission-window length in ms (default: the scenario's)",
-    )
-    p_serve.add_argument("--seed", type=int, default=0,
-                         help="workload seed (same seed => identical JSON)")
-    from repro.serving.cluster import CLUSTER_POLICIES, DEFAULT_DETAIL_MS
-
     p_serve.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="NPU workers in the cluster (default 1: the single-NPU "
@@ -1364,51 +1190,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="autoscale the fleet from --workers up to MAXW workers "
              "until every tenant meets its SLA at p99",
     )
-    p_serve.add_argument("--format", default="table", metavar="FMT",
-                         help="table or json (default table)")
-    p_serve.add_argument("-o", "--out", default=None, metavar="PATH",
-                         help="write the report here instead of stdout")
     p_serve.add_argument(
         "--trace", default=None, metavar="PATH",
         help="also write a Chrome-trace with per-request flow arrows",
     )
     p_serve.set_defaults(func=_cmd_serve)
 
-    def _windowed_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "scenario", nargs="?", default="default",
-            choices=sorted(SCENARIOS),
-            help="tenant population to serve (default: default)",
-        )
-        p.add_argument(
-            "--mechanism", choices=MECHANISMS, default="snpu",
-            help="isolation mechanism under test (default snpu)",
-        )
-        p.add_argument(
-            "--policy", choices=POLICIES, default="rr",
-            help="dispatch policy (default rr)",
-        )
-        p.add_argument(
-            "--rps", type=float, default=None, metavar="R",
-            help="aggregate request rate (default: the scenario's)",
-        )
-        p.add_argument(
-            "--duration", type=float, default=None, metavar="MS",
-            help="admission-window length in ms (default: the scenario's)",
-        )
-        p.add_argument("--seed", type=int, default=0,
-                       help="workload seed (same seed => identical bytes)")
-        p.add_argument("--format", default="table", metavar="FMT",
-                       help="table or json (default table)")
-        p.add_argument("-o", "--out", default=None, metavar="PATH",
-                       help="write the output here instead of stdout")
-
     p_watch = sub.add_parser(
         "watch",
         help="live per-window timeline of a serving run "
              "(sliding-window metrics keyed on simulated cycles)",
     )
-    _windowed_args(p_watch)
     p_watch.add_argument(
         "--window", type=float, default=50.0, metavar="MS",
         help="tumbling-window size in simulated ms (default 50)",
@@ -1417,10 +1209,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_slo = sub.add_parser(
         "slo",
-        help="evaluate an SLO spec against a live serving run; "
-             "exit 1 on breach, 2 on a malformed spec",
+        help="evaluate an SLO spec against a live serving run "
+             "(exit codes: README, Install & run)",
     )
-    _windowed_args(p_slo)
     p_slo.add_argument(
         "--spec", required=True, metavar="PATH",
         help="JSON SLO spec (see specs/nlp-mix.slo.json)",
@@ -1445,14 +1236,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--analytic", action="store_true",
         help="use the analytic timing path (default: detailed)",
     )
-    p_prof.add_argument("--input-size", type=int, default=112)
-    p_prof.add_argument(
-        "--format", default="table", metavar="FMT",
-        help="table, md, json or folded (folded = flamegraph.pl "
-             "folded stacks; table/md/json with --diff)",
-    )
-    p_prof.add_argument("-o", "--out", default=None, metavar="PATH",
-                        help="write the report here instead of stdout")
     p_prof.add_argument(
         "--host", action="store_true",
         help="cProfile the simulator itself (host wall-clock hot loops)",
@@ -1490,11 +1273,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="archive benchmark id (default: the file's bench_id field "
              "or its BENCH_<id>.json stem)",
     )
-    p_bdiff.add_argument(
-        "--store", default=None, metavar="PATH",
-        help="run archive (default $REPRO_STORE or "
-             "~/.cache/repro/runs.sqlite)",
-    )
     p_bdiff.set_defaults(func=_cmd_bench)
 
     p_diag = sub.add_parser(
@@ -1527,33 +1305,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="archive benchmark id (default: the file's bench_id field "
              "or its BENCH_<id>.json stem)",
     )
-    p_diag.add_argument("--input-size", type=int, default=112)
     p_diag.add_argument(
         "--analytic", action="store_true",
         help="profile the model sides analytically (default: detailed)",
     )
     p_diag.add_argument("--secure", action="store_true")
-    p_diag.add_argument(
-        "--policy", choices=POLICIES, default="rr",
-        help="dispatch policy for scenario sides (default rr)",
-    )
-    p_diag.add_argument("--rps", type=float, default=None, metavar="R",
-                        help="request rate for scenario sides")
-    p_diag.add_argument("--duration", type=float, default=None,
-                        metavar="MS",
-                        help="admission window for scenario sides")
-    p_diag.add_argument("--seed", type=int, default=0,
-                        help="seed for live sides (same seed => "
-                             "byte-identical diagnosis)")
-    p_diag.add_argument("--format", default="table", metavar="FMT",
-                        help="table, md or json (default table)")
-    p_diag.add_argument("-o", "--out", default=None, metavar="PATH",
-                        help="write the diagnosis here instead of stdout")
-    p_diag.add_argument(
-        "--store", default=None, metavar="PATH",
-        help="run archive (default $REPRO_STORE or "
-             "~/.cache/repro/runs.sqlite)",
-    )
     p_diag.set_defaults(func=_cmd_diagnose)
 
     p_query = sub.add_parser(
@@ -1566,13 +1322,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_query.add_argument("--list", action="store_true",
                          help="list the canned queries")
-    p_query.add_argument(
-        "--store", default=None, metavar="PATH",
-        help="run archive (default $REPRO_STORE or "
-             "~/.cache/repro/runs.sqlite)",
-    )
-    p_query.add_argument("-o", "--out", default=None, metavar="PATH",
-                         help="write the rows here instead of stdout")
     p_query.set_defaults(func=_cmd_query)
 
     p_hist = sub.add_parser(
@@ -1584,13 +1333,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "bench metric)")
     p_hist.add_argument("--last", type=int, default=None, metavar="N",
                         help="only the most recent N archived values")
-    p_hist.add_argument(
-        "--store", default=None, metavar="PATH",
-        help="run archive (default $REPRO_STORE or "
-             "~/.cache/repro/runs.sqlite)",
-    )
-    p_hist.add_argument("-o", "--out", default=None, metavar="PATH",
-                        help="write the table here instead of stdout")
     p_hist.set_defaults(func=_cmd_history)
 
     p_report = sub.add_parser(
@@ -1598,18 +1340,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="self-contained HTML dashboard of the run archive "
              "(byte-deterministic, no JS)",
     )
-    p_report.add_argument("-o", "--out", default="report.html",
-                          metavar="PATH",
-                          help="output file (default report.html)")
     p_report.add_argument(
         "--goldens", default=None, metavar="DIR",
         help="golden-figure directory for the status section "
              "(default tests/golden when present)",
-    )
-    p_report.add_argument(
-        "--store", default=None, metavar="PATH",
-        help="run archive (default $REPRO_STORE or "
-             "~/.cache/repro/runs.sqlite)",
     )
     p_report.add_argument(
         "--compare", nargs=2, default=None, metavar=("RUN_A", "RUN_B"),
@@ -1629,22 +1363,84 @@ def build_parser() -> argparse.ArgumentParser:
         "disasm", help="lower a workload to its NPU instruction stream"
     )
     p_dis.add_argument("model", help=", ".join(zoo.MODEL_BUILDERS))
-    p_dis.add_argument("--input-size", type=int, default=64)
     p_dis.add_argument("--limit", type=int, default=40,
                        help="instructions to print (0 = all)")
     p_dis.set_defaults(func=_cmd_disasm)
+
+    # Flags several verbs share, each defined once (with its per-verb
+    # default where one differs).
+    for p, size in ((p_models, 224), (p_dis, 64), (p_run, 112),
+                    (p_stats, 112), (p_trace, 112), (p_flows, 112),
+                    (p_prof, 112), (p_diag, 112)):
+        p.add_argument("--input-size", type=int, default=size)
+    for p in (p_serve, p_watch, p_slo):
+        p.add_argument(
+            "scenario", nargs="?", default="default",
+            choices=sorted(SCENARIOS),
+            help="tenant population to serve (default: default)",
+        )
+        p.add_argument(
+            "--mechanism", choices=MECHANISMS, default="snpu",
+            help="isolation mechanism under test (default snpu)",
+        )
+    for p in (p_serve, p_watch, p_slo, p_diag):
+        p.add_argument(
+            "--policy", choices=POLICIES, default="rr",
+            help="dispatch policy (default rr)",
+        )
+        p.add_argument(
+            "--rps", type=float, default=None, metavar="R",
+            help="aggregate request rate (default: the scenario's)",
+        )
+        p.add_argument(
+            "--duration", type=float, default=None, metavar="MS",
+            help="admission-window length in ms (default: the scenario's)",
+        )
+        p.add_argument("--seed", type=int, default=0,
+                       help="workload seed (same seed => identical bytes)")
+    for p, fmt in ((p_audit, "summary"), (p_stats, "table"), (p_flows, "table"),
+                   (p_serve, "table"), (p_watch, "table"), (p_slo, "table"),
+                   (p_prof, "table"), (p_diag, "table")):
+        p.add_argument(
+            "--format", default=fmt, metavar="FMT",
+            help=f"output format (default {fmt}); an unknown one lists "
+                 f"the choices",
+        )
+    for p, out in ((p_trace, "trace.json"), (p_report, "report.html"),
+                   (p_flows, None), (p_audit, None), (p_serve, None),
+                   (p_watch, None), (p_slo, None), (p_prof, None),
+                   (p_diag, None), (p_query, None), (p_hist, None)):
+        p.add_argument(
+            "-o", "--out", default=out, metavar="PATH",
+            help=f"output file (default {out})" if out
+            else "write the output here instead of stdout",
+        )
+    for p in (p_bdiff, p_diag, p_query, p_hist, p_report):
+        p.add_argument(
+            "--store", default=None, metavar="PATH",
+            help="run archive (default $REPRO_STORE or "
+                 "~/.cache/repro/runs.sqlite)",
+        )
     return parser
+
+
+#: The exit-code contract (README, "Install & run"): 0 ok; 1 the
+#: verdict failed, which only a handler returns; otherwise the first row
+#: matching the escaping error.  Any other exception keeps its traceback.
+_EXIT_CODES = (
+    (ConfigError, 2), (StoreError, 2), (AllocationError, 2), (OSError, 2),
+    (ReproError, 3),
+)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ReproError as exc:
-        # Simulation/configuration/security errors surface as one line;
-        # genuine bugs (anything else) keep their traceback.
+    except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES
+                    if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ explicit ``0/0`` SLA (``sla_attainment=None``) — never a fabricated
 0.0 ms latency or a vacuous 100% attainment.  ``to_dict`` contains only
 quantities derived from the seeded simulation (no wall-clock, no
 environment), and ``render("json")`` dumps it with sorted keys — so the
-same ``--seed`` produces bit-identical JSON on every run, which the CI
-smoke job and the determinism test both rely on.
+same ``--seed`` produces bit-identical JSON on every run, which the
+determinism tests rely on.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ Byte-determinism contract: the dashboard is a pure function of the
 archive's *content* view (:meth:`RunStore.dump` ordering — never the
 ingest sequence), carries no timestamp, hostname or environment, and
 formats floats via ``repr``-stable ``%g`` — so two same-seed runs of
-any verb followed by ``repro report`` produce byte-identical HTML (the
-CI ``report-smoke`` job ``cmp``'s exactly that).
+any verb followed by ``repro report`` produce byte-identical HTML
+(``tests/integration/test_cli_contract.py`` checks exactly that).
 """
 
 from __future__ import annotations

@@ -24,6 +24,8 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.errors import ConfigError
+
 #: Default relative tolerance for host-timing metrics.
 DEFAULT_TIMING_TOLERANCE = 0.25
 
@@ -249,19 +251,28 @@ def compare_bench_history(
     )
 
 
+def load_bench(path: str) -> Dict[str, Any]:
+    """Read one BENCH file; ConfigError unless it holds a JSON object."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read bench file {path!r}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ConfigError(f"bench file {path!r} holds a "
+                          f"{type(payload).__name__}, not a JSON object")
+    return payload
+
+
 def compare_bench_files(
     old_path: str,
     new_path: str,
     timing_tolerance: float = DEFAULT_TIMING_TOLERANCE,
     deterministic_tolerance: float = 0.0,
 ) -> BenchComparison:
-    with open(old_path) as fh:
-        old = json.load(fh)
-    with open(new_path) as fh:
-        new = json.load(fh)
     return compare_bench(
-        old,
-        new,
+        load_bench(old_path),
+        load_bench(new_path),
         timing_tolerance=timing_tolerance,
         deterministic_tolerance=deterministic_tolerance,
     )

@@ -43,10 +43,6 @@ class TestCommands:
         assert code == 0
         assert "secure" in capsys.readouterr().out
 
-    def test_run_unknown_model(self, capsys):
-        assert main(["run", "lenet"]) == 2
-        assert "unknown model" in capsys.readouterr().err
-
     def test_attacks(self, capsys):
         assert main(["attacks", "snpu"]) == 0
         out = capsys.readouterr().out
@@ -61,9 +57,6 @@ class TestCommands:
         assert main(["experiments", "fig18", "tcb"]) == 0
         out = capsys.readouterr().out
         assert "S_Spad" in out and "TCB" in out
-
-    def test_experiments_unknown(self, capsys):
-        assert main(["experiments", "fig99"]) == 2
 
     def test_experiments_fig13_uses_fast_path_by_default(self, tmp_path):
         """No flag or environment variable selects an engine: fig13's
@@ -82,9 +75,6 @@ class TestCommands:
         assert main(["disasm", "yololite", "--limit", "8"]) == 0
         out = capsys.readouterr().out
         assert "mvin" in out and "instruction mix" in out
-
-    def test_disasm_unknown_model(self, capsys):
-        assert main(["disasm", "lenet"]) == 2
 
     def test_experiments_access_paths(self, capsys):
         assert main(["experiments", "access-paths", "--profile", "tiny"]) == 0
@@ -236,13 +226,6 @@ class TestStatsFormats:
         payload = _json.loads(capsys.readouterr().out)
         assert any(k.endswith(".p50") for k in payload)
         assert any(k.endswith(".p99") for k in payload)
-
-    def test_stats_json_flag_alias(self, capsys):
-        import json as _json
-
-        assert main(["stats", "yololite", "--input-size", "56",
-                     "--json"]) == 0
-        _json.loads(capsys.readouterr().out)  # must be valid JSON
 
 
 class TestFlowsCommand:
