@@ -463,6 +463,16 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return 0
 
 
+def _warn_dropped(scope: telemetry.TelemetryScope) -> None:
+    """One stderr warning per serve-run ledger that reached its cap."""
+    if scope.audit.dropped:
+        print(f"warning: {scope.audit.dropped} audit records dropped (ledger "
+              f"cap reached); the audit count is incomplete", file=sys.stderr)
+    if scope.flows.dropped:
+        print(f"warning: {scope.flows.dropped} flows dropped (tracker cap "
+              f"reached); the flow trace is incomplete", file=sys.stderr)
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Serve a multi-tenant traffic scenario and print the SLA report."""
     from repro.serving.queueing import ServeSimulator
@@ -475,8 +485,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.workers != 1 or args.requests is not None or args.autoscale:
         return _cmd_serve_cluster(args)
     scenario = SCENARIOS[args.scenario]
+    # The trace is the flow records' one reader: track flows only for it.
     with telemetry.scoped(
-        trace=bool(args.trace), profile=False, flow=True
+        trace=bool(args.trace), profile=False, flow=bool(args.trace)
     ) as scope:
         simulator = ServeSimulator(
             scenario,
@@ -490,6 +501,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         report = ServeReport.build(outcome, scenario=scenario)
         n_flows = len(scope.flows)
         n_audit = len(scope.audit)
+        _warn_dropped(scope)
         trace_payload = (
             scope.tracer.to_chrome_trace(indent=2) if args.trace else None
         )
@@ -518,9 +530,12 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
     from repro.serving.cluster import ClusterSimulator, autoscale
     from repro.serving.workload import SCENARIOS
 
+    if args.trace:
+        raise ConfigError("--trace needs the single-NPU path (no --workers "
+                          "above 1, --requests or --autoscale)")
     scenario = SCENARIOS[args.scenario]
     requests = None if args.requests is None else int(args.requests)
-    with telemetry.scoped(trace=False, profile=False, flow=True) as scope:
+    with telemetry.scoped(trace=False, profile=False) as scope:
         if args.autoscale:
             report = autoscale(
                 scenario,
@@ -551,6 +566,7 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
             report = simulator.run()
         n_flows = len(scope.flows)
         n_audit = len(scope.audit)
+        _warn_dropped(scope)
     payload = _format_payload(args.format, {
         fmt: (lambda f=fmt: report.render(f))
         for fmt in ("table", "json")
@@ -572,7 +588,7 @@ def _serve_windowed(args: argparse.Namespace, window_ms: float):
     from repro.serving.workload import SCENARIOS
 
     scenario = SCENARIOS[args.scenario]
-    with telemetry.scoped(trace=False, profile=False, flow=True):
+    with telemetry.scoped(trace=False, profile=False):
         simulator = ServeSimulator(
             scenario,
             mechanism=args.mechanism,
@@ -919,7 +935,7 @@ def _diagnose_live(args: argparse.Namespace, target: str):
         scenario = SCENARIOS[target]
         reports = []
         for mechanism in (args.side_a, args.side_b):
-            with telemetry.scoped(trace=False, profile=False, flow=True):
+            with telemetry.scoped(trace=False, profile=False):
                 outcome = ServeSimulator(
                     scenario, mechanism=mechanism, policy=args.policy,
                     rps=args.rps, duration_ms=args.duration, seed=args.seed,
@@ -1192,7 +1208,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--trace", default=None, metavar="PATH",
-        help="also write a Chrome-trace with per-request flow arrows",
+        help="also write a Chrome-trace with per-request flow arrows "
+             "(needs the single-NPU path: not with --workers above 1, "
+             "--requests or --autoscale)",
     )
     p_serve.set_defaults(func=_cmd_serve)
 

@@ -13,7 +13,9 @@ schedule:
 ``rr`` (default)
     Round-robin over tenants at every scheduling boundary — the flush
     baseline of §IV-B: fair, but fine granularities pay a scrub +
-    context switch on almost every quantum.
+    context switch on almost every quantum.  While the queue heads stay
+    the same the rotation is periodic; :meth:`Policy.rotation` hands it
+    over whole so the temporal simulator can replay it.
 ``priority``
     Lowest ``TenantSpec.priority`` first, preemptively *at quantum
     boundaries*: an urgent arrival waits out at most the quantum in
@@ -29,7 +31,7 @@ schedule:
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.serving.workload import Request
@@ -56,7 +58,29 @@ class Policy:
         #: co-run time of the pairing (lower = better); wired up by the
         #: spatial simulator, None under temporal mechanisms.
         self.pair_norm = pair_norm
+        self._index = {t: i for i, t in enumerate(self.tenant_order)}
         self._rr_last = -1
+
+    def rotation(self, candidates: Sequence[Request]) -> List[Request]:
+        """The cyclic order in which *candidates* take quanta for as long
+        as they stay the queue heads (temporal sharing, no partner).
+
+        ``rr`` visits the candidates' tenants in declared order, starting
+        after the tenant served last; every other policy hands every
+        quantum to its one :meth:`pick`.  A caller that serves along the
+        order reports the request it served last through :meth:`served`.
+        """
+        if self.name != "rr":
+            return [self.pick(candidates)]
+        n = len(self.tenant_order)
+        start = self._rr_last + 1
+        return sorted(
+            candidates, key=lambda r: (self._index[r.tenant] - start) % n
+        )
+
+    def served(self, req: Request) -> None:
+        """Note that *req*'s tenant was served last (moves the rr pointer)."""
+        self._rr_last = self._index[req.tenant]
 
     def pick(
         self,
@@ -71,17 +95,9 @@ class Policy:
         if self.name == "priority":
             return min(candidates, key=lambda r: (r.priority, r.arrival, r.rid))
         if self.name == "rr":
-            by_tenant = {r.tenant: r for r in candidates}
-            n = len(self.tenant_order)
-            for step in range(1, n + 1):
-                idx = (self._rr_last + step) % n
-                tenant = self.tenant_order[idx]
-                if tenant in by_tenant:
-                    self._rr_last = idx
-                    return by_tenant[tenant]
-            # Candidates from tenants outside the declared order cannot
-            # happen (queues are keyed by the scenario's tenants).
-            raise ConfigError("round-robin found no candidate tenant")
+            req = self.rotation(candidates)[0]
+            self.served(req)
+            return req
         # spatial
         if partner_model is not None and self.pair_norm is not None:
             return min(

@@ -9,6 +9,10 @@ the NPU changes protection domain (tenant) it pays the scrub +
 context-switch cost, plus an extra context switch when the *world*
 changes too.  Admission happens only at quantum boundaries — the
 granularity-vs-SLA dilemma of §IV-B, now visible as tail latency.
+Between two events (an arrival falling due, a completion) the queue
+heads are fixed, so the policy hands over its dispatch order once
+(:meth:`Policy.rotation`) and the simulator replays quanta along it,
+adding the same floats in the same order a per-quantum pick would.
 
 **Spatial (``partition`` / ``snpu``)** — two co-resident slots sharing
 the scratchpad and DRAM channel, served with the analytic co-run rates
@@ -21,10 +25,14 @@ so sNPU is never worse than the partition by construction) and a
 survivor expands to the best single-task allocation.  Crossing worlds
 on a slot costs one context switch; no flush is ever paid.
 
-Every admitted request gets a flow ID (when the flow tracker is live)
-whose completion record decomposes latency into service / security
-(flush + world switch) / queueing; every secure-world admission and
-world switch is ledgered in the audit log.
+Only what a reader consumes is recorded.  Every secure-world admission
+is ledgered in the audit log (``serve.admit``); world switches are
+counted (:attr:`ServeOutcome.world_switches`, the
+``serving.world_switches`` counter and :class:`ServeWindows`), not
+ledgered.  When the flow tracker is live (``repro serve --trace``, its
+one reader) every admitted request gets a flow ID whose completion
+record decomposes latency into service / security (flush + world
+switch) / queueing.
 """
 
 from __future__ import annotations
@@ -56,6 +64,7 @@ MECHANISMS = ("snpu", "partition", "flush-tile", "flush-layer", "flush-layer5")
 SERVE_SPLITS = (0.25, 0.375, 0.5, 0.625, 0.75)
 
 _EPS = 1e-9
+_NEVER = float("inf")
 
 
 def residual_violation_eps(latency: float) -> float:
@@ -460,6 +469,7 @@ class ServeSimulator:
         }
         switch_cost = self.switch_cost
         world_cost = float(self.config.context_switch_cycles)
+        windows = self.windows
         arrivals: Deque[Request] = deque(requests)
         queues: Dict[str, Deque[Request]] = {
             name: deque() for name in self._tenant_order
@@ -468,54 +478,68 @@ class ServeSimulator:
         t = 0.0
         prev_tenant: Optional[str] = None
         prev_world: Optional[str] = None
+        flushes = world_switches = 0
+        flush_cycles = world_cycles = 0.0
         while arrivals or any(queues.values()):
             while arrivals and arrivals[0].arrival <= t + _EPS:
                 req = arrivals.popleft()
                 flow = self._admit(req, queues)
                 states[req.rid] = _TemporalState(quanta_cache[req.model], flow)
-            if not any(queues.values()):
-                t = max(t, arrivals[0].arrival)
-                continue
             heads = [
                 queues[name][0] for name in self._tenant_order if queues[name]
             ]
-            req = self.policy.pick(heads)
-            state = states[req.rid]
-            if prev_tenant is not None and req.tenant != prev_tenant:
-                # Protection-domain change: scrub + context switch, plus
-                # an extra context switch when the world flips too.
-                if self.windows is not None:
-                    self.windows.on_flush(t)
-                t += switch_cost
-                state.flush += switch_cost
-                outcome.flushes += 1
-                outcome.flush_cycles += switch_cost
-                self._m_flushes.inc()
-                if req.world != prev_world:
-                    if self.windows is not None:
-                        self.windows.on_world_switch(t)
-                    t += world_cost
-                    state.world += world_cost
-                    outcome.world_switches += 1
-                    outcome.world_cycles += world_cost
-                    self._m_world.inc()
-                    telemetry.audit.record(
-                        "serve.world_switch", "event", cycle=t,
-                        world=req.world, flow=state.flow, tenant=req.tenant,
+            if not heads:
+                t = max(t, arrivals[0].arrival)
+                continue
+            # Until the next event (an arrival falls due or a request
+            # completes) the heads stay fixed, and so does the policy's
+            # dispatch order: replay quanta along it, one at a time.
+            next_arrival = arrivals[0].arrival if arrivals else _NEVER
+            order = [(r, states[r.rid]) for r in self.policy.rotation(heads)]
+            n = len(order)
+            i = 0
+            while True:
+                req, state = order[i]
+                if prev_tenant is not None and req.tenant != prev_tenant:
+                    # Protection-domain change: scrub + context switch,
+                    # plus an extra context switch when the world flips.
+                    if windows is not None:
+                        windows.on_flush(t)
+                    t += switch_cost
+                    state.flush += switch_cost
+                    flushes += 1
+                    flush_cycles += switch_cost
+                    if req.world != prev_world:
+                        if windows is not None:
+                            windows.on_world_switch(t)
+                        t += world_cost
+                        state.world += world_cost
+                        world_switches += 1
+                        world_cycles += world_cost
+                prev_tenant, prev_world = req.tenant, req.world
+                quantum = state.quanta[state.qi]
+                state.qi += 1
+                state.service += quantum
+                t += quantum
+                if state.qi == len(state.quanta):
+                    queues[req.tenant].popleft()
+                    self._record_completion(
+                        req, state.flow, t, state.service, state.flush,
+                        state.world, outcome,
                     )
-            quantum = state.quanta[state.qi]
-            state.qi += 1
-            state.service += quantum
-            t += quantum
-            prev_tenant, prev_world = req.tenant, req.world
-            if state.qi == len(state.quanta):
-                queues[req.tenant].popleft()
-                self._record_completion(
-                    req, state.flow, t, state.service, state.flush,
-                    state.world, outcome,
-                )
-                del states[req.rid]
+                    del states[req.rid]
+                    break
+                if next_arrival <= t + _EPS:
+                    break
+                i = (i + 1) % n
+            self.policy.served(req)
         outcome.makespan = t
+        outcome.flushes = flushes
+        outcome.flush_cycles = flush_cycles
+        outcome.world_switches = world_switches
+        outcome.world_cycles = world_cycles
+        self._m_flushes.inc(flushes)
+        self._m_world.inc(world_switches)
 
     # ------------------------------------------------------------------
     # Spatial sharing: two slots at analytic co-run rates
@@ -564,11 +588,6 @@ class ServeSimulator:
                     outcome.world_switches += 1
                     outcome.world_cycles += world_cost
                     self._m_world.inc()
-                    telemetry.audit.record(
-                        "serve.world_switch", "event", cycle=t,
-                        world=req.world, flow=self._flow_ids.get(req.rid),
-                        tenant=req.tenant, slot=i,
-                    )
                 slot_world[i] = req.world
                 slots[i] = _Slot(req, setup, self._flow_ids.get(req.rid))
             occupants = [i for i in (0, 1) if slots[i] is not None]

@@ -150,6 +150,12 @@ EXITS = [
     _row("serve-negative-detail",
          "serve default --workers 2 --requests 1000 --detail -5", 2,
          "detail_ms must be positive"),
+    _row("serve-cluster-trace",
+         "serve default --workers 2 --requests 1000 --detail 100 "
+         "--trace {tmp}/t.json", 2, "--trace needs the single-NPU path"),
+    _row("serve-autoscale-trace",
+         "serve default --autoscale 2 --trace {tmp}/t.json", 2,
+         "--trace needs the single-NPU path"),
     _row("watch-zero-window", "watch nlp-mix --window 0", 2,
          "window_ms must be positive"),
     _row("run-zero-input-size", "run resnet --input-size 0", 2,

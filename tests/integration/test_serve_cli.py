@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import telemetry
 from repro.cli import main
 from repro.driver.scheduler import MultiTaskScheduler
 from repro.npu.config import NPUConfig
@@ -68,6 +69,39 @@ class TestServeCLI:
                 "--duration", "200", "--format", "json",
                 "-o", str(tmp_path / f"{scenario}.json"),
             ]) == 0
+
+
+class TestRecordOnlyWhatIsRead:
+    """Flows are tracked for ``--trace`` alone, and a ledger that reaches
+    its cap says so on stderr instead of truncating silently."""
+
+    def test_flows_tracked_only_under_trace(self, tmp_path, capsys):
+        argv = ["serve", "default", "--mechanism", "flush-tile",
+                "--duration", "100"]
+        assert main(argv) == 0
+        assert "(0 request flows tracked," in capsys.readouterr().out
+        assert main(argv + ["--trace", str(tmp_path / "t.json")]) == 0
+        assert "(0 request flows tracked," not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("extra", [[], ["--workers", "2"]],
+                             ids=["single", "cluster"])
+    def test_audit_cap_warns(self, extra, monkeypatch, capsys):
+        monkeypatch.setattr(telemetry.audit, "max_records", 3)
+        assert main(["serve", "secure-heavy", "--duration", "200",
+                     *extra]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert len(warnings) == 1, warnings
+        assert "audit records dropped (ledger cap reached)" in warnings[0]
+
+    def test_flow_cap_warns_under_trace(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(telemetry.flows, "max_flows", 3)
+        assert main(["serve", "secure-heavy", "--duration", "200",
+                     "--trace", str(tmp_path / "t.json")]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert len(warnings) == 1, warnings
+        assert "flows dropped (tracker cap reached)" in warnings[0]
 
 
 class TestAcceptanceOrdering:

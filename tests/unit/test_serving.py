@@ -131,6 +131,17 @@ class TestPolicy:
         heads = [_req(0, tenant="c")]
         assert policy.pick(heads).tenant == "c"
 
+    def test_rotation_is_the_pick_sequence(self):
+        heads = [_req(0, tenant="a"), _req(1, tenant="b"), _req(2, tenant="c")]
+        policy = Policy("rr", ("a", "b", "c"))
+        policy.served(heads[1])
+        assert [r.tenant for r in policy.rotation(heads)] == ["c", "a", "b"]
+        picker = Policy("rr", ("a", "b", "c"))
+        picker.pick(heads[1:2])
+        assert [picker.pick(heads).tenant for _ in range(3)] == ["c", "a", "b"]
+        fifo = Policy("fifo", ("a", "b", "c"))
+        assert fifo.rotation(heads) == [fifo.pick(heads)]
+
     def test_spatial_prefers_best_pairing(self):
         norms = {("m", "x"): 3.0, ("m", "y"): 2.0}
         policy = Policy("spatial", ("a", "b"),
