@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro import telemetry
 from repro.common.types import PACKET_BYTES, World
 from repro.errors import ConfigError
@@ -260,6 +258,8 @@ class DMAEngine:
         return self.dram.read(paddr, size)
 
     def _copy(self, transfer: SpadTransfer, runs) -> None:
+        import numpy as np
+
         spad = self._target_spad(transfer)
         nbytes = transfer.lines * spad.line_bytes
         if transfer.request.is_write:

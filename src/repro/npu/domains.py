@@ -24,9 +24,7 @@ secure tasks, bounded by the hardware's ID width.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.common.types import World
 from repro.errors import (
@@ -35,6 +33,9 @@ from repro.errors import (
     PrivilegeError,
     ScratchpadIsolationError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: The public / normal-world domain.
 DOMAIN_NORMAL = 0
@@ -54,6 +55,8 @@ class MultiDomainScratchpad:
             raise ConfigError(f"bad scratchpad geometry {lines}x{line_bytes}")
         if not 1 <= domain_bits <= 8:
             raise ConfigError(f"domain_bits must be in 1..8, got {domain_bits}")
+        import numpy as np
+
         self.lines = lines
         self.line_bytes = line_bytes
         self.domain_bits = domain_bits
@@ -108,6 +111,8 @@ class MultiDomainScratchpad:
         return self.data[line : line + nlines].copy()
 
     def write(self, line: int, payload: np.ndarray, domain: int) -> None:
+        import numpy as np
+
         self._check_domain(domain)
         payload = np.ascontiguousarray(payload, dtype=np.uint8)
         if payload.ndim == 1:

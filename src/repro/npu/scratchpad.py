@@ -13,6 +13,10 @@ wordline and enforces:
 * a dedicated **secure instruction** resets lines from secure to
   non-secure (scrubbing their contents, so the downgrade cannot leak).
 
+The payload and ID arrays are allocated on first access, so a timing-only
+run, which never moves a byte, never loads numpy.  Until then every line
+is zero and non-secure, which is what scrubs and flushes would leave.
+
 The same class also implements the two strawman mechanisms the paper
 compares against: static **partition** (a boundary register splits the
 line space between worlds) and **no protection** (the LeftoverLocals
@@ -22,9 +26,7 @@ baseline - stale data is readable by anyone).
 from __future__ import annotations
 
 import enum
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro import telemetry
 from repro.common.types import World
@@ -34,6 +36,15 @@ from repro.errors import (
     PrivilegeError,
     ScratchpadIsolationError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+
+
+def _zeros(*shape: int) -> np.ndarray:
+    import numpy as np
+
+    return np.zeros(shape, dtype=np.uint8)
 
 
 class SpadIsolationMode(enum.Enum):
@@ -71,8 +82,8 @@ class Scratchpad:
         self.line_bytes = line_bytes
         self.mode = mode
         self.shared = shared
-        self.data = np.zeros((lines, line_bytes), dtype=np.uint8)
-        self.id_state = np.zeros(lines, dtype=np.uint8)
+        self._data: Optional[np.ndarray] = None
+        self._id_state: Optional[np.ndarray] = None
         #: Partition boundary: secure lines are [0, boundary), normal the rest.
         self.partition_boundary = 0
         self.reads = 0
@@ -84,6 +95,20 @@ class Scratchpad:
         tel.bind("writes", self, "writes")
         tel.bind("violations", self, "violations")
         tel.bind("secure_lines", self, "secure_lines")
+
+    @property
+    def data(self) -> np.ndarray:
+        """Line payloads, (lines, line_bytes) uint8."""
+        if self._data is None:
+            self._data = _zeros(self.lines, self.line_bytes)
+        return self._data
+
+    @property
+    def id_state(self) -> np.ndarray:
+        """Per-line ID bit: 1 = secure."""
+        if self._id_state is None:
+            self._id_state = _zeros(self.lines)
+        return self._id_state
 
     # ------------------------------------------------------------------
     # Configuration
@@ -163,6 +188,8 @@ class Scratchpad:
 
     def write(self, line: int, payload: np.ndarray, world: World) -> None:
         """Write whole lines; *payload* is (nlines, line_bytes) uint8."""
+        import numpy as np
+
         payload = np.ascontiguousarray(payload, dtype=np.uint8)
         if payload.ndim == 1:
             if payload.size % self.line_bytes:
@@ -204,19 +231,25 @@ class Scratchpad:
                 "reset_secure is a secure instruction (issued via the Monitor)"
             )
         self._check_range(line, nlines)
-        self.data[line : line + nlines] = 0
-        self.id_state[line : line + nlines] = 0
+        if self._data is not None:
+            self._data[line : line + nlines] = 0
+        if self._id_state is not None:
+            self._id_state[line : line + nlines] = 0
 
     def flush_all(self) -> int:
         """Zero the whole scratchpad (flush baseline); returns lines scrubbed."""
-        self.data[:] = 0
-        self.id_state[:] = 0
+        if self._data is not None:
+            self._data[:] = 0
+        if self._id_state is not None:
+            self._id_state[:] = 0
         return self.lines
 
     # ------------------------------------------------------------------
     @property
     def secure_lines(self) -> int:
-        return int(self.id_state.sum())
+        if self._id_state is None:
+            return 0
+        return int(self._id_state.sum())
 
     def raw_peek(self, line: int, nlines: int) -> np.ndarray:
         """Bypass all checks — physical attack / test oracle only."""

@@ -11,10 +11,13 @@ FLOPS-utilization figure (Fig. 1) measures.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
 from repro.npu.config import NPUConfig
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -60,6 +63,8 @@ class SystolicArray:
     # ------------------------------------------------------------------
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Compute ``a @ b`` with int32 accumulation like the hardware."""
+        import numpy as np
+
         a32 = a.astype(np.int32)
         b32 = b.astype(np.int32)
         if a32.shape[1] != b32.shape[0]:

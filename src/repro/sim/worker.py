@@ -24,14 +24,12 @@ def stable_seed(*parts: str) -> int:
 
 
 def seed_rngs(seed: int) -> None:
-    """Seed every RNG a simulation might consult."""
-    random.seed(seed)
-    try:
-        import numpy
+    """Seed the global RNG.
 
-        numpy.random.seed(seed % (2 ** 32))
-    except ImportError:  # pragma: no cover - numpy is a hard dep today
-        pass
+    Simulations draw from their own seeded ``random.Random`` instances;
+    this only pins module-level :mod:`random` for any code that reads it.
+    """
+    random.seed(seed)
 
 
 def init_worker(seed: int = 0) -> None:
