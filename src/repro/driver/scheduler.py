@@ -194,23 +194,7 @@ class MultiTaskScheduler:
         """
         if mechanism in ("partition", "snpu"):
             return PreemptionStats(mechanism, 0.0, 0.0, 0)
-        result = self.run(model)
-        program = self.compile_cached(model, self.config.spad_bytes)
-        if mechanism == "tile":
-            quanta = [
-                lr.cycles / max(1, ls.n_blocks)
-                for lr, ls in zip(result.layers, program.layers)
-                for _ in range(max(1, ls.n_blocks))
-            ]
-        elif mechanism == "layer":
-            quanta = [lr.cycles for lr in result.layers]
-        elif mechanism == "layer5":
-            per_layer = [lr.cycles for lr in result.layers]
-            quanta = [
-                sum(per_layer[i : i + 5]) for i in range(0, len(per_layer), 5)
-            ]
-        else:
-            raise ConfigError(f"unknown mechanism {mechanism!r}")
+        quanta = self._quanta(model, mechanism)
         total = sum(quanta)
         mean_wait = sum(q * q for q in quanta) / (2.0 * total) if total else 0.0
         return PreemptionStats(

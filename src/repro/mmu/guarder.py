@@ -253,13 +253,6 @@ class NPUGuarder(AccessController):
         reg = self._find_translation(request.vaddr, span, request)
         pbase = reg.translate(request.vaddr)
         self._check_physical(pbase, span, request)
-        audit = telemetry.audit
-        if audit.enabled and audit.verbose:
-            audit.record(
-                "guarder.check", "allow", world=request.world.name,
-                flow=request.flow_id, stream=request.stream,
-                vaddr=request.vaddr, size=request.size,
-            )
 
         runs = [
             (reg.translate(vaddr), size) for vaddr, size in request.row_ranges()

@@ -1,7 +1,7 @@
 """Worker-process hygiene for parallel experiment execution.
 
 A forked (or spawned) pool worker inherits the parent's process-global
-telemetry singletons and RNG state.  Engines register metric groups at
+telemetry collectors and RNG state.  Engines register metric groups at
 construction time, so a worker that built simulators against inherited
 state would double-count into registries it does not own.
 :func:`init_worker` is the :class:`concurrent.futures.ProcessPoolExecutor`
@@ -33,14 +33,14 @@ def seed_rngs(seed: int) -> None:
 
 
 def init_worker(seed: int = 0) -> None:
-    """Pool initializer: fresh telemetry globals + deterministic RNGs.
-
-    Safe to call in-process too (the serial path uses it for identical
-    start-of-run state): ``telemetry.scoped`` blocks opened afterwards
+    """Pool initializer: fresh, disabled telemetry collectors and
+    deterministic RNGs, so ``telemetry.scoped`` blocks opened afterwards
     behave exactly as in a pristine interpreter.
+
+    The serial path does not call it; it seeds with :func:`seed_rngs`
+    only.
     """
     from repro import telemetry
 
-    telemetry.disable()
     telemetry.reset()
     seed_rngs(seed)

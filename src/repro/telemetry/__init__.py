@@ -4,7 +4,7 @@ Usage (library)::
 
     from repro import telemetry
 
-    with telemetry.scoped() as tel:          # fresh, enabled, auto-restored
+    with telemetry.scoped() as tel:          # fresh collectors, auto-restored
         soc = SoC(SoCConfig(protection="snpu"))
         soc.run_model(model, detailed=True)
         print(tel.metrics.snapshot()["mmu.guarder.checks"])
@@ -15,10 +15,13 @@ Usage (CLI)::
     repro stats mobilenet --detailed         # metrics table + metrics.json
     repro trace examples/quickstart.py       # Chrome-trace of a script
 
-Both singletons are **disabled by default** and cost near nothing while
-disabled; components register their metric groups at construction time,
-so enable telemetry *before* building the system you want to observe
-(``scoped()`` does exactly that).
+The five module-level collectors (``metrics``, ``tracer``, ``profiler``,
+``flows``, ``audit``) are **disabled by default** and cost near nothing
+while disabled.  ``scoped()`` rebinds them to fresh collectors for the
+length of a block and yields those, so its handle keeps reading the
+block's records after it exits.  Components register their metric groups
+at construction time, so build the system you want to observe *inside*
+the block.
 """
 
 from __future__ import annotations
@@ -114,72 +117,47 @@ __all__ = [
     "profiler",
     "flows",
     "audit",
-    "enable",
-    "disable",
     "reset",
     "scoped",
 ]
 
-#: Process-global metrics registry (disabled until :func:`enable`).
-metrics = MetricsRegistry(enabled=False)
-
-#: Process-global trace recorder (disabled until :func:`enable`).
-tracer = TraceRecorder(enabled=False)
-
-#: Process-global cycle-attribution profiler (disabled until :func:`enable`).
-profiler = CycleProfiler(enabled=False)
-
-#: Process-global request-flow tracker (disabled until :func:`enable`).
-flows = FlowTracker(enabled=False)
-
-#: Process-global security audit ledger (disabled until :func:`enable`).
-audit = AuditLedger(enabled=False)
-
-
-def enable(
-    trace: bool = True,
-    profile: bool = True,
-    flow: bool = True,
-    audit_log: bool = True,
-) -> None:
-    """Turn telemetry on (optionally leaving some collectors off)."""
-    metrics.enable()
-    if trace:
-        tracer.enable()
-    if profile:
-        profiler.enable()
-    if flow:
-        flows.enable()
-    if audit_log:
-        audit.enable()
-
-
-def disable() -> None:
-    metrics.disable()
-    tracer.disable()
-    profiler.disable()
-    flows.disable()
-    audit.disable()
-
-
-def reset() -> None:
-    """Clear all registered groups, buffered trace events and ledgers."""
-    metrics.reset()
-    tracer.reset()
-    profiler.reset()
-    flows.reset()
-    audit.reset()
-
 
 @dataclass
 class TelemetryScope:
-    """The live collectors inside a :func:`scoped` block."""
+    """The five telemetry collectors, as :func:`scoped` yields them."""
 
     metrics: MetricsRegistry
     tracer: TraceRecorder
     profiler: CycleProfiler
     flows: FlowTracker
     audit: AuditLedger
+
+
+# The current collectors, disabled outside a ``scoped()`` block.  The block
+# rebinds these names, so instrumented code reads ``telemetry.audit`` (etc.)
+# at call time and never imports the objects themselves.
+metrics = MetricsRegistry()
+tracer = TraceRecorder()
+profiler = CycleProfiler()
+flows = FlowTracker()
+audit = AuditLedger()
+
+
+def _install(scope: TelemetryScope) -> TelemetryScope:
+    """Rebind the module collectors to *scope*'s; returns the replaced ones."""
+    global metrics, tracer, profiler, flows, audit
+    replaced = TelemetryScope(metrics, tracer, profiler, flows, audit)
+    metrics, tracer, profiler = scope.metrics, scope.tracer, scope.profiler
+    flows, audit = scope.flows, scope.audit
+    return replaced
+
+
+def reset() -> None:
+    """Install fresh, disabled collectors (a pool worker's starting state)."""
+    _install(TelemetryScope(
+        MetricsRegistry(), TraceRecorder(), CycleProfiler(), FlowTracker(),
+        AuditLedger(),
+    ))
 
 
 @contextlib.contextmanager
@@ -189,32 +167,27 @@ def scoped(
     flow: bool = False,
     audit_log: bool = True,
 ) -> Iterator[TelemetryScope]:
-    """Run a block against a fresh, enabled telemetry state.
+    """Run a block against five fresh collectors.
 
-    The previous state (groups, events, enabled flags) is saved and
-    restored on exit, so scopes nest and never leak registrations — each
-    experiment's ``metrics.json`` contains only its own system.  Flow
-    tracking (per-request span records) is opt-in; the audit ledger is on
-    by default (it records only decisions, never per-packet traffic).
+    The metrics registry is always on; the tracer, profiler, flow tracker
+    and audit ledger are on as their flags say.  The module globals point
+    at the new collectors inside the block and at the previous ones again
+    after it, so scopes nest and never leak registrations — each
+    experiment's ``metrics.json`` contains only its own system.  The
+    yielded handle holds the block's own collectors and stays readable
+    after exit.  Flow tracking (per-request span records) is opt-in; the
+    audit ledger is on by default (it records only decisions, never
+    per-packet traffic).
     """
-    saved_metrics = metrics._export_state()
-    saved_tracer = tracer._export_state()
-    saved_profiler = profiler._export_state()
-    saved_flows = flows._export_state()
-    saved_audit = audit._export_state()
-    metrics._restore_state((True, {}, {}, {}))
-    tracer._restore_state((bool(trace), [], {}, 0.0, 0, {}))
-    profiler._restore_state((bool(profile), {}, {}, [], None))
-    flows._restore_state((bool(flow), {}, {}, 0, 0))
-    audit._restore_state((bool(audit_log), False, [], 0, "", 0, 0.0, []))
+    scope = TelemetryScope(
+        metrics=MetricsRegistry(enabled=True),
+        tracer=TraceRecorder(enabled=bool(trace)),
+        profiler=CycleProfiler(enabled=bool(profile)),
+        flows=FlowTracker(enabled=bool(flow)),
+        audit=AuditLedger(enabled=bool(audit_log)),
+    )
+    saved = _install(scope)
     try:
-        yield TelemetryScope(
-            metrics=metrics, tracer=tracer, profiler=profiler,
-            flows=flows, audit=audit,
-        )
+        yield scope
     finally:
-        metrics._restore_state(saved_metrics)
-        tracer._restore_state(saved_tracer)
-        profiler._restore_state(saved_profiler)
-        flows._restore_state(saved_flows)
-        audit._restore_state(saved_audit)
+        _install(saved)

@@ -30,15 +30,15 @@ the attack name) renders to an **identical byte sequence regardless of
 how many worker processes produced it** — the property ``repro audit
 --jobs 1`` vs ``--jobs 4`` is tested on.
 
-The ledger is disabled by default; ``telemetry.scoped()`` enables it
-(records are cheap: only decisions are recorded, never per-packet
-traffic, unless a caller opts into ``verbose`` allow records).
+The ledger is disabled by default; ``telemetry.scoped()`` builds an
+enabled one (records are cheap: only decisions are recorded, never
+per-packet traffic).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 
 class AuditLedger:
@@ -46,9 +46,6 @@ class AuditLedger:
 
     def __init__(self, enabled: bool = False, max_records: int = 500_000):
         self.enabled = enabled
-        #: Also record per-request *allow* decisions on the hot path
-        #: (``repro audit`` turns this on; perf runs leave it off).
-        self.verbose = False
         #: Hard cap; records beyond it are counted in ``dropped``.
         self.max_records = max_records
         self.dropped = 0
@@ -64,23 +61,6 @@ class AuditLedger:
         #: already observed live in the worker that produced them) and
         #: never when the ledger is disabled or dropping.
         self._subscribers: List[Callable[[Dict[str, Any]], None]] = []
-
-    # ------------------------------------------------------------------
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-        self.verbose = False
-
-    def reset(self) -> None:
-        self._records.clear()
-        self._next_seq = 0
-        self._origin = ""
-        self.dropped = 0
-        self.clock = 0.0
-        self.verbose = False
-        self._subscribers.clear()
 
     # ------------------------------------------------------------------
     def subscribe(self, callback: Callable[[Dict[str, Any]], None]) -> None:
@@ -211,22 +191,6 @@ class AuditLedger:
             for r in self.sorted_records()
         ]
         return "\n".join(lines) + ("\n" if lines else "")
-
-    # -- scoped-state plumbing (used by ``telemetry.scoped``) ----------
-    def _export_state(
-        self,
-    ) -> Tuple[bool, bool, List[Dict[str, Any]], int, str, int, float,
-               List[Callable[[Dict[str, Any]], None]]]:
-        return (self.enabled, self.verbose, self._records, self._next_seq,
-                self._origin, self.dropped, self.clock, self._subscribers)
-
-    def _restore_state(
-        self,
-        state: Tuple[bool, bool, List[Dict[str, Any]], int, str, int, float,
-                     List[Callable[[Dict[str, Any]], None]]],
-    ) -> None:
-        (self.enabled, self.verbose, self._records, self._next_seq,
-         self._origin, self.dropped, self.clock, self._subscribers) = state
 
 
 def _jsonable(value: Any) -> Any:

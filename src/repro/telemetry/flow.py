@@ -25,8 +25,8 @@ Components along the path that *see* a flow but do not own its timeline
 :meth:`FlowTracker.accumulate` — per-flow walk counts, hit/miss bytes —
 without touching the partition.
 
-Like every telemetry singleton the tracker is **disabled by default**;
-``telemetry.scoped(flow=True)`` turns it on for a block.
+Like every telemetry collector the tracker is **disabled by default**;
+``telemetry.scoped(flow=True)`` builds an enabled one for a block.
 """
 
 from __future__ import annotations
@@ -138,19 +138,6 @@ class FlowTracker:
         #: Annotations accumulated before the flow completes.
         self._pending_meta: Dict[int, Dict[str, float]] = {}
         self._next_id = 0
-
-    # ------------------------------------------------------------------
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
-    def reset(self) -> None:
-        self._records.clear()
-        self._pending_meta.clear()
-        self._next_id = 0
-        self.dropped = 0
 
     def __len__(self) -> int:
         return len(self._records)
@@ -291,19 +278,3 @@ class FlowTracker:
 
     def get(self, flow_id: int) -> Optional[FlowRecord]:
         return self._records.get(flow_id)
-
-    # -- scoped-state plumbing (used by ``telemetry.scoped``) ----------
-    def _export_state(
-        self,
-    ) -> Tuple[bool, Dict[int, FlowRecord], Dict[int, Dict[str, float]],
-               int, int]:
-        return (self.enabled, self._records, self._pending_meta,
-                self._next_id, self.dropped)
-
-    def _restore_state(
-        self,
-        state: Tuple[bool, Dict[int, FlowRecord], Dict[int, Dict[str, float]],
-                     int, int],
-    ) -> None:
-        (self.enabled, self._records, self._pending_meta,
-         self._next_id, self.dropped) = state

@@ -1,8 +1,8 @@
 """Hierarchical metrics registry: counters, gauges, histograms, bindings.
 
 Every instrumented component obtains a :class:`MetricSet` ("group") from
-the process-global registry under a ``<subsystem>.<component>`` prefix and
-either
+the current registry (``telemetry.metrics``) under a
+``<subsystem>.<component>`` prefix and either
 
 * creates **push** metrics (:class:`Counter`, :class:`Gauge`,
   :class:`Histogram`) it updates on its own hot path, or
@@ -19,7 +19,7 @@ The registry is **disabled by default**: ``group()`` then hands out a
 shared null set whose metrics are inert singletons, so an un-instrumented
 run pays only a handful of no-op calls (the "near-zero cost when
 disabled" requirement).  Bindings keep the owner alive: an enabled
-registry only lives as long as its ``telemetry.scoped()`` block, and the
+registry lives only as long as its ``telemetry.scoped()`` handle, and the
 end-of-scope snapshot must still see components the traced code has
 already dropped (e.g. a SoC local to a script's ``main()``).
 """
@@ -384,7 +384,7 @@ def merge_snapshots(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
 
 
 class MetricsRegistry:
-    """Process-global hierarchy of :class:`MetricSet` groups."""
+    """Hierarchy of :class:`MetricSet` groups (one per telemetry scope)."""
 
     def __init__(self, enabled: bool = False):
         self.enabled = enabled
@@ -395,18 +395,6 @@ class MetricsRegistry:
         self._external: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
-    def reset(self) -> None:
-        """Drop every registered group (values *and* structure)."""
-        self._groups.clear()
-        self._prefix_counts.clear()
-        self._external.clear()
-
     def group(self, prefix: str) -> MetricSet:
         """Register (or create) a metric group under *prefix*.
 
@@ -447,15 +435,3 @@ class MetricsRegistry:
     def get(self, name: str, default: Any = 0) -> Any:
         """Convenience point lookup of one metric by full name."""
         return self.snapshot().get(name, default)
-
-    # -- scoped-state plumbing (used by ``telemetry.scoped``) ----------
-    def _export_state(
-        self,
-    ) -> Tuple[bool, Dict[str, MetricSet], Dict[str, int], Dict[str, Any]]:
-        return (self.enabled, self._groups, self._prefix_counts, self._external)
-
-    def _restore_state(
-        self,
-        state: Tuple[bool, Dict[str, MetricSet], Dict[str, int], Dict[str, Any]],
-    ) -> None:
-        self.enabled, self._groups, self._prefix_counts, self._external = state

@@ -47,7 +47,7 @@ obeys the invariant; fabric-level categories (``noc.*``, ``scheduler.*``,
 ``monitor.*``) run on their own timelines and are accumulated in the
 profiler-wide ledger only.
 
-Like the other telemetry singletons the profiler is **disabled by
+Like the other telemetry collectors the profiler is **disabled by
 default** and every recording method bails on one attribute check.
 """
 
@@ -165,7 +165,7 @@ class RunProfile:
 
 
 class CycleProfiler:
-    """Process-global cycle-attribution ledger (disabled by default)."""
+    """Cycle-attribution ledger (disabled by default)."""
 
     def __init__(self, enabled: bool = False):
         self.enabled = enabled
@@ -178,19 +178,6 @@ class CycleProfiler:
         #: Completed run ledgers, in completion order.
         self.runs: List[RunProfile] = []
         self._current: Optional[RunProfile] = None
-
-    # ------------------------------------------------------------------
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
-    def reset(self) -> None:
-        self.categories.clear()
-        self.counts.clear()
-        self.runs.clear()
-        self._current = None
 
     # ------------------------------------------------------------------
     # Run-scoped attribution (the NPU timing paths)
@@ -332,17 +319,6 @@ class CycleProfiler:
             )
         for name, value in (snapshot.get("counts") or {}).items():
             self.counts[name] = self.counts.get(name, 0) + int(value)
-
-    # -- scoped-state plumbing (used by ``telemetry.scoped``) ----------
-    def _export_state(self):
-        return (
-            self.enabled, self.categories, self.counts, self.runs,
-            self._current,
-        )
-
-    def _restore_state(self, state) -> None:
-        (self.enabled, self.categories, self.counts, self.runs,
-         self._current) = state
 
 
 def parse_fraction(encoded: Any) -> Fraction:

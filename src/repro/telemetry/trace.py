@@ -2,10 +2,10 @@
 
 The :class:`TraceRecorder` collects **spans** (named intervals with a
 duration — a DMA burst, an IOTLB walk, a scheduler quantum), **instants**
-(point events — a Guarder denial, a world switch) and **counter samples**
-on named *tracks*.  Tracks map to Chrome-trace threads, so a trace opened
-in ``chrome://tracing`` or https://ui.perfetto.dev shows one swim-lane per
-hardware unit.
+(point events — a Guarder denial, a world switch) and **flow events**
+(arrows linking one request's spans) on named *tracks*.  Tracks map to
+Chrome-trace threads, so a trace opened in ``chrome://tracing`` or
+https://ui.perfetto.dev shows one swim-lane per hardware unit.
 
 Timebases: components with a real simulation clock (the NoC fabric) pass
 ``engine.now``; analytic components keep a private cycle cursor.  Tracks
@@ -20,7 +20,7 @@ attribute check, and hot callers additionally guard with
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 
 class TraceRecorder:
@@ -38,22 +38,6 @@ class TraceRecorder:
         #: Fallback timebase for components without a clock: a monotonic
         #: sequence number bumped once per auto-stamped event.
         self._auto_ts = 0.0
-        #: Per-track stacks of open ``begin()`` spans awaiting ``end()``.
-        self._open: Dict[str, List[Dict[str, Any]]] = {}
-
-    # ------------------------------------------------------------------
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
-    def reset(self) -> None:
-        self._events.clear()
-        self._tracks.clear()
-        self._auto_ts = 0.0
-        self.dropped = 0
-        self._open.clear()
 
     def __len__(self) -> int:
         return len(self._events)
@@ -130,65 +114,6 @@ class TraceRecorder:
             }
         )
 
-    def begin(
-        self,
-        name: str,
-        cat: str,
-        ts: Optional[float] = None,
-        track: str = "sim",
-        **args: Any,
-    ) -> None:
-        """Open a nested duration span (Chrome-trace phase ``B``).
-
-        Pair with :meth:`end` on the same track.  Chrome's B/E events are
-        strictly LIFO per thread, so an out-of-order close simply closes
-        the innermost open span; spans still open at export time are
-        closed with synthetic ``E`` events at the trace's last timestamp.
-        """
-        if not self.enabled:
-            return
-        event = {
-            "name": name,
-            "cat": cat,
-            "ph": "B",
-            "ts": self._stamp(ts),
-            "pid": 0,
-            "tid": self._tid(track),
-            "args": args,
-        }
-        self._push(event)
-        self._open.setdefault(track, []).append(event)
-
-    def end(self, track: str = "sim", ts: Optional[float] = None) -> None:
-        """Close the innermost open span on *track* (phase ``E``).
-
-        A stray ``end()`` with no open span is ignored rather than
-        corrupting the trace.
-        """
-        if not self.enabled:
-            return
-        stack = self._open.get(track)
-        if not stack:
-            return
-        opened = stack.pop()
-        self._push(
-            {
-                "name": opened["name"],
-                "cat": opened["cat"],
-                "ph": "E",
-                "ts": self._stamp(ts),
-                "pid": 0,
-                "tid": self._tid(track),
-                "args": {},
-            }
-        )
-
-    def open_spans(self, track: Optional[str] = None) -> List[Dict[str, Any]]:
-        """Begin-events not yet closed (all tracks, or one track)."""
-        if track is not None:
-            return list(self._open.get(track, ()))
-        return [event for stack in self._open.values() for event in stack]
-
     def flow_point(
         self,
         name: str,
@@ -224,28 +149,6 @@ class TraceRecorder:
             event["bp"] = "e"
         self._push(event)
 
-    def counter_sample(
-        self,
-        name: str,
-        value: float,
-        ts: Optional[float] = None,
-        track: str = "counters",
-    ) -> None:
-        """Record a time-series sample (Chrome-trace phase ``C``)."""
-        if not self.enabled:
-            return
-        self._push(
-            {
-                "name": name,
-                "cat": "counter",
-                "ph": "C",
-                "ts": self._stamp(ts),
-                "pid": 0,
-                "tid": self._tid(track),
-                "args": {"value": float(value)},
-            }
-        )
-
     # ------------------------------------------------------------------
     # Introspection / export
     # ------------------------------------------------------------------
@@ -259,9 +162,6 @@ class TraceRecorder:
         for event in self._events:
             out[event["cat"]] = out.get(event["cat"], 0) + 1
         return dict(sorted(out.items()))
-
-    def spans_by_category(self, cat: str) -> List[Dict[str, Any]]:
-        return [e for e in self._events if e["cat"] == cat and e["ph"] == "X"]
 
     def filter(
         self,
@@ -285,32 +185,8 @@ class TraceRecorder:
             out.append(event)
         return out
 
-    def _close_events(self) -> List[Dict[str, Any]]:
-        """Synthetic ``E`` events closing spans still open at export time."""
-        if not any(self._open.values()):
-            return []
-        last_ts = max((e["ts"] for e in self._events), default=0.0)
-        closers: List[Dict[str, Any]] = []
-        for track, stack in self._open.items():
-            for opened in reversed(stack):
-                closers.append(
-                    {
-                        "name": opened["name"],
-                        "cat": opened["cat"],
-                        "ph": "E",
-                        "ts": last_ts,
-                        "pid": 0,
-                        "tid": self._tid(track),
-                        "args": {"auto_closed": True},
-                    }
-                )
-        return closers
-
     def _sorted_events(self) -> List[Dict[str, Any]]:
-        return sorted(
-            self._events + self._close_events(),
-            key=lambda e: (e["ts"], e["tid"]),
-        )
+        return sorted(self._events, key=lambda e: (e["ts"], e["tid"]))
 
     def to_chrome_trace(self, indent: Optional[int] = None) -> str:
         """Chrome-trace JSON (load in chrome://tracing or Perfetto).
@@ -363,19 +239,3 @@ class TraceRecorder:
         if limit is not None and len(self._events) > limit:
             lines.append(f"... ({len(self._events) - limit} more events)")
         return "\n".join(lines)
-
-    # -- scoped-state plumbing (used by ``telemetry.scoped``) ----------
-    def _export_state(
-        self,
-    ) -> Tuple[bool, List[Dict[str, Any]], Dict[str, int], float, int,
-               Dict[str, List[Dict[str, Any]]]]:
-        return (self.enabled, self._events, self._tracks, self._auto_ts,
-                self.dropped, self._open)
-
-    def _restore_state(
-        self,
-        state: Tuple[bool, List[Dict[str, Any]], Dict[str, int], float, int,
-                     Dict[str, List[Dict[str, Any]]]],
-    ) -> None:
-        (self.enabled, self._events, self._tracks, self._auto_ts,
-         self.dropped, self._open) = state

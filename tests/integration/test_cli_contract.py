@@ -111,6 +111,7 @@ def _bench(cycles: float) -> dict:
 def _write_inputs(tmp: Path) -> None:
     """The input files the exit rows name."""
     (tmp / "list.json").write_text("[1, 2, 3]")
+    (tmp / "bad.json").write_text("{not json")
     (tmp / "regular").write_text("a regular file, not a directory")
     (tmp / "breaching.slo.json").write_text(json.dumps(BREACHING_SPEC))
     (tmp / "old.json").write_text(json.dumps(_bench(4_000_000.0)))
@@ -167,7 +168,13 @@ EXITS = [
     _row("run-unknown-model", "run lenet", 2, "unknown model 'lenet'"),
     _row("disasm-unknown-model", "disasm lenet", 2, "unknown model 'lenet'"),
     _row("experiments-unknown-id", "experiments fig99", 2, "cluster-sweep"),
-    # Unusable input: a BENCH file that is not a JSON object.
+    # Unusable input: a BENCH file that is missing or not a JSON object.
+    _row("bench-diff-missing-file",
+         "bench diff {tmp}/old.json {tmp}/nope.json", 2,
+         "cannot read bench file"),
+    _row("bench-diff-invalid-json",
+         "bench diff {tmp}/old.json {tmp}/bad.json", 2,
+         "cannot read bench file"),
     _row("bench-diff-list-file", "bench diff {tmp}/list.json {tmp}/list.json",
          2, "not a JSON object"),
     _row("bench-history-list-file", "bench diff {tmp}/list.json --history 2",

@@ -1,5 +1,6 @@
 """Integration tests for ``repro serve`` and the §IV-B acceptance ordering."""
 
+import functools
 import json
 
 import pytest
@@ -86,7 +87,8 @@ class TestRecordOnlyWhatIsRead:
     @pytest.mark.parametrize("extra", [[], ["--workers", "2"]],
                              ids=["single", "cluster"])
     def test_audit_cap_warns(self, extra, monkeypatch, capsys):
-        monkeypatch.setattr(telemetry.audit, "max_records", 3)
+        monkeypatch.setattr(telemetry, "AuditLedger", functools.partial(
+            telemetry.AuditLedger, max_records=3))
         assert main(["serve", "secure-heavy", "--duration", "200",
                      *extra]) == 0
         warnings = [line for line in capsys.readouterr().err.splitlines()
@@ -95,7 +97,8 @@ class TestRecordOnlyWhatIsRead:
         assert "audit records dropped (ledger cap reached)" in warnings[0]
 
     def test_flow_cap_warns_under_trace(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(telemetry.flows, "max_flows", 3)
+        monkeypatch.setattr(telemetry, "FlowTracker", functools.partial(
+            telemetry.FlowTracker, max_flows=3))
         assert main(["serve", "secure-heavy", "--duration", "200",
                      "--trace", str(tmp_path / "t.json")]) == 0
         warnings = [line for line in capsys.readouterr().err.splitlines()

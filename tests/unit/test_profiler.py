@@ -189,7 +189,6 @@ class TestSnapshots:
 
 class TestScopedIntegration:
     def test_scoped_restores_profiler_state(self):
-        telemetry.profiler.reset()
         with telemetry.scoped(trace=False) as scope:
             scope.profiler.layer("l", 0, 10.0, [("pe.compute", 10.0)])
             assert scope.profiler.total_attributed() == Fraction(10)
