@@ -18,7 +18,7 @@ from repro.memory.dram import DRAMModel
 from repro.mmu.access_paths import Type2MMU, Type3CpuCoupled
 from repro.mmu.iommu import IOMMU
 from repro.npu.config import NPUConfig
-from repro.npu.core import NPUCore
+from repro.npu.core import NPUCore, run_sweep
 from repro.workloads import zoo
 
 
@@ -38,24 +38,25 @@ def run(
     )
     for model in zoo.paper_models(profile):
         program = compiler.compile(model)
-        base = NPUCore(config, _guarder_for_run(), dram).run_detailed(program)
-
-        def norm(controller) -> float:
-            run_ = NPUCore(config, controller, dram).run_detailed(program)
-            return base.cycles / run_.cycles
-
+        controllers = [
+            _guarder_for_run(),
+            IOMMU(_identity_table(program), 16),
+            Type2MMU(
+                _identity_table(program),
+                mmu_tlb_entries=16,
+                dram_bytes_per_cycle=config.dram_bytes_per_cycle,
+            ),
+            Type3CpuCoupled(_identity_table(program)),
+        ]
+        base, type1, type2, type3 = run_sweep(
+            [NPUCore(config, ctrl, dram) for ctrl in controllers], program
+        )
         result.add_row(
             workload=model.name,
             guarder=1.0,
-            type1_iommu=norm(IOMMU(_identity_table(program), 16)),
-            type2_mmu=norm(
-                Type2MMU(
-                    _identity_table(program),
-                    mmu_tlb_entries=16,
-                    dram_bytes_per_cycle=config.dram_bytes_per_cycle,
-                )
-            ),
-            type3_cpu=norm(Type3CpuCoupled(_identity_table(program))),
+            type1_iommu=base.cycles / type1.cycles,
+            type2_mmu=base.cycles / type2.cycles,
+            type3_cpu=base.cycles / type3.cycles,
         )
     means = {
         c: sum(r[c] for r in result.rows) / len(result.rows)

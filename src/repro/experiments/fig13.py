@@ -20,7 +20,7 @@ from repro.memory.pagetable import PageTable
 from repro.mmu.guarder import NPUGuarder
 from repro.mmu.iommu import IOMMU
 from repro.npu.config import NPUConfig
-from repro.npu.core import NPUCore
+from repro.npu.core import NPUCore, run_sweep
 from repro.workloads import zoo
 
 DEFAULT_ENTRIES: Tuple[int, ...] = (4, 8, 16, 32)
@@ -69,17 +69,19 @@ def run(
 
     for model in zoo.paper_models(profile):
         program = compiler.compile(model)
-        core = NPUCore(config, _guarder_for_run(), dram)
-        guarder_run = core.run_detailed(program)
-
-        row = {"workload": model.name, "guarder": 1.0}
-        iommu_requests = 0
         # One identity table per model: the IOMMU never mutates it, so the
         # per-entries runs can share it instead of rebuilding 4 copies.
         table = _identity_table(program)
-        for n in entries:
-            iommu = IOMMU(table, iotlb_entries=n)
-            iommu_run = NPUCore(config, iommu, dram).run_detailed(program)
+        controllers = [_guarder_for_run()] + [
+            IOMMU(table, iotlb_entries=n) for n in entries
+        ]
+        guarder_run, *iommu_runs = run_sweep(
+            [NPUCore(config, ctrl, dram) for ctrl in controllers], program
+        )
+
+        row = {"workload": model.name, "guarder": 1.0}
+        iommu_requests = 0
+        for n, iommu_run in zip(entries, iommu_runs):
             row[f"iotlb-{n}"] = guarder_run.cycles / iommu_run.cycles
             iommu_requests = iommu_run.check_stats.translations
         perf.rows.append(row)
@@ -140,11 +142,12 @@ def run_energy(
     )
     for model in zoo.paper_models(profile):
         program = compiler.compile(model)
-        guarder_run = NPUCore(config, _guarder_for_run(), dram).run_detailed(
-            program
-        )
         iommu = IOMMU(_identity_table(program), iotlb_entries=32)
-        iommu_run = NPUCore(config, iommu, dram).run_detailed(program)
+        guarder_run, iommu_run = run_sweep(
+            [NPUCore(config, _guarder_for_run(), dram),
+             NPUCore(config, iommu, dram)],
+            program,
+        )
         result.add_row(
             workload=model.name,
             iommu_overhead=iommu_energy(

@@ -12,7 +12,9 @@ Two timing paths produce the figures:
   Layers that :mod:`repro.sim.fastpath` proves contention-free are
   replayed from their schedule instead, bit-identically.  With
   ``functional=True`` it also moves real bytes, which the security
-  tests rely on.
+  tests rely on.  :func:`run_sweep` runs one program under several
+  cores (one per controller) layer by layer, so each layer's schedule
+  is folded once for all of them; ``run_detailed`` is its one-core case.
 
 A consistency test asserts the two paths agree under the Guarder.
 """
@@ -20,7 +22,7 @@ A consistency test asserts the two paths agree under the Guarder.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro import telemetry
 from repro.common.types import CheckStats, World
@@ -280,8 +282,7 @@ class NPUCore:
         if flush is not None and flush not in FLUSH_GRANULARITIES:
             raise ConfigError(f"unknown flush granularity {flush!r}")
         profiler = telemetry.profiler
-        if profiler.enabled:
-            profiler.begin_run(program.task_name, "analytic")
+        prof = profiler.begin_run(program.task_name, "analytic")
         layers: List[LayerResult] = []
         total = 0.0
         flush_total = 0.0
@@ -295,7 +296,7 @@ class NPUCore:
                 cycles += boundary
                 fcycles += boundary
                 info["boundaries"] += 1
-            if profiler.enabled:
+            if prof is not None:
                 scrub, ctx, refetch = self._boundary_parts(layer, share)
                 n_bound = info["boundaries"]
                 profiler.layer(
@@ -316,6 +317,7 @@ class NPUCore:
                         "macs": float(layer.macs),
                         "page_walks": 0.0,
                     },
+                    run=prof,
                 )
             layers.append(
                 LayerResult(
@@ -332,8 +334,8 @@ class NPUCore:
             total += cycles
             flush_total += fcycles
             self._record_layer(layer.name, cycles, fcycles)
-        if profiler.enabled:
-            profiler.end_run()
+        if prof is not None:
+            profiler.end_run(prof)
         return RunResult(
             task_name=program.task_name,
             cycles=total,
@@ -380,135 +382,193 @@ class NPUCore:
         program: NPUProgram,
         share: float = 1.0,
         flush: Optional[str] = None,
-        reset_stats: bool = True,
     ) -> RunResult:
-        """Walk every tile iteration through the DMA engine + controller."""
-        if flush is not None and flush not in FLUSH_GRANULARITIES:
-            raise ConfigError(f"unknown flush granularity {flush!r}")
-        if reset_stats:
-            self.controller.reset_stats()
-            self.dma.stats.reset()
+        """Walk every tile iteration through the DMA engine + controller
+        (the one-core case of :func:`run_sweep`)."""
+        return run_sweep([self], program, share, flush)[0]
 
-        profiler = telemetry.profiler
-        profiling = profiler.enabled
+
+class _DetailedRun:
+    """One core's detailed run inside a sweep, advanced layer by layer."""
+
+    def __init__(
+        self, core: NPUCore, program: NPUProgram, share: float,
+        flush: Optional[str],
+    ):
+        self.core = core
+        self.program = program
+        self.share = share
+        self.flush = flush
+        core.controller.reset_stats()
+        core.dma.stats.reset()
+        self.profiler = telemetry.profiler
+        #: This run's profiler ledger (None while the profiler is off).
+        self.prof = self.profiler.begin_run(program.task_name, "detailed")
+        self.fast_run = _fastpath.begin_run(core, share, flush)
+        self.layers: List[LayerResult] = []
+        self.total = 0.0
+        self.flush_total = 0.0
+
+    def layer(self, i: int, shared: _fastpath.LayerFold) -> None:
+        """Run layer *i* of the program, fast path first."""
+        core = self.core
+        share, flush = self.share, self.flush
+        layer = shared.layer
+        # Flow records born in this layer carry its name, which is what
+        # the per-layer critical-path report groups by.
+        core.dma.flow_context = layer.name
+        profiling = self.prof is not None
         if profiling:
-            profiler.begin_run(program.task_name, "detailed")
-        fast_run = _fastpath.begin_run(self, share, flush)
-        layers: List[LayerResult] = []
-        total = 0.0
-        flush_total = 0.0
-        try:
-            for i, layer in enumerate(program.layers):
-                # Flow records born in this layer carry its name, which is
-                # what the per-layer critical-path report groups by.
-                self.dma.flow_context = layer.name
-                if profiling:
-                    dma_stats, ctrl_stats = self.dma.stats, self.controller.stats
-                    stall0 = dma_stats.stall_cycles
-                    issue0 = dma_stats.issue_cycles
-                    crypto0 = dma_stats.crypto_cycles
-                    cursor0 = self.dma.cursor
-                    checks0 = ctrl_stats.checks
-                    walks0 = ctrl_stats.page_walks
-                layer_cycles = 0.0
-                layer_flush = 0.0
-                seg_sum = 0.0
-                seg_first_load = None
-                seg_last_store = 0.0
-                comp_sum = 0.0
-                n_bound = 0
-                fast_res = fast_run.layer(layer) if fast_run is not None else None
-                if fast_res is not None:
-                    # Analytic replay: segment state stays at init values,
-                    # so the post-loop/flush blocks below are no-ops
-                    # (fast runs never carry a flush granularity).
-                    layer_cycles, comp_sum = fast_res
-                else:
-                    for it in layer.iterations():
-                        load = sum(self.dma.execute(t, share) for t in it.loads)
-                        if self.dma.functional:
-                            self._functional_compute(it)
-                        store = sum(self.dma.execute(t, share) for t in it.stores)
-                        compute = it.compute_cycles
-                        self.systolic.record(compute, it.macs)
-                        comp_sum += compute
-                        if seg_first_load is None:
-                            seg_first_load = load
-                        seg_sum += max(load, compute, store)
-                        seg_last_store = store
-                        if flush == "tile" and it.end_of_block:
-                            boundary = self._boundary_cost(layer, share)
-                            layer_cycles += (
-                                seg_sum + (seg_first_load or 0.0) + seg_last_store + boundary
-                            )
-                            layer_flush += boundary
-                            n_bound += 1
-                            seg_sum, seg_first_load, seg_last_store = 0.0, None, 0.0
-                if seg_first_load is not None or seg_sum:
-                    layer_cycles += seg_sum + (seg_first_load or 0.0) + seg_last_store
-                if flush == "layer" or (flush == "layer5" and (i + 1) % 5 == 0):
-                    boundary = self._boundary_cost(layer, share)
-                    layer_cycles += boundary
+            # Baselines first: the replay below advances these counters.
+            dma_stats, ctrl_stats = core.dma.stats, core.controller.stats
+            stall0 = dma_stats.stall_cycles
+            issue0 = dma_stats.issue_cycles
+            crypto0 = dma_stats.crypto_cycles
+            cursor0 = core.dma.cursor
+            checks0 = ctrl_stats.checks
+            walks0 = ctrl_stats.page_walks
+        layer_cycles = 0.0
+        layer_flush = 0.0
+        seg_sum = 0.0
+        seg_first_load = None
+        seg_last_store = 0.0
+        comp_sum = 0.0
+        n_bound = 0
+        fast_run = self.fast_run
+        fast_res = fast_run.layer(shared) if fast_run is not None else None
+        if fast_res is not None:
+            # Analytic replay: segment state stays at init values, so the
+            # post-loop/flush blocks below are no-ops (fast runs never
+            # carry a flush granularity).
+            layer_cycles, comp_sum = fast_res
+        else:
+            dma = core.dma
+            for it in layer.iterations():
+                load = sum(dma.execute(t, share) for t in it.loads)
+                if dma.functional:
+                    core._functional_compute(it)
+                store = sum(dma.execute(t, share) for t in it.stores)
+                compute = it.compute_cycles
+                core.systolic.record(compute, it.macs)
+                comp_sum += compute
+                if seg_first_load is None:
+                    seg_first_load = load
+                seg_sum += max(load, compute, store)
+                seg_last_store = store
+                if flush == "tile" and it.end_of_block:
+                    boundary = core._boundary_cost(layer, share)
+                    layer_cycles += (
+                        seg_sum + (seg_first_load or 0.0) + seg_last_store + boundary
+                    )
                     layer_flush += boundary
                     n_bound += 1
-                if profiling:
-                    scrub, ctx, refetch = self._boundary_parts(layer, share)
-                    checks_delta = ctrl_stats.checks - checks0
-                    profiler.layer(
-                        layer.name,
-                        layer.index,
-                        layer_cycles,
-                        [
-                            ("flush.scrub", n_bound * scrub),
-                            ("flush.context_switch", n_bound * ctx),
-                            ("flush.refetch", n_bound * refetch),
-                            ("pe.compute", comp_sum),
-                            ("dma.stall.iotlb", dma_stats.stall_cycles - stall0),
-                            ("dma.stall.crypto", dma_stats.crypto_cycles - crypto0),
-                            ("dma.issue", dma_stats.issue_cycles - issue0),
-                            (
-                                "guarder.check",
-                                checks_delta * self.controller.CHECK_CYCLES,
-                            ),
-                        ],
-                        residual="dma.transfer",
-                        stats={
-                            "dma_busy": self.dma.cursor - cursor0,
-                            "compute_busy": comp_sum,
-                            "macs": float(layer.macs),
-                            "page_walks": float(ctrl_stats.page_walks - walks0),
-                            "checks": float(checks_delta),
-                        },
-                    )
-                layers.append(
-                    LayerResult(
-                        name=layer.name,
-                        index=layer.index,
-                        cycles=layer_cycles,
-                        load_bytes=layer.load_bytes,
-                        store_bytes=layer.store_bytes,
-                        compute_cycles=layer.compute_cycles,
-                        macs=layer.macs,
-                        flush_cycles=layer_flush,
-                    )
-                )
-                total += layer_cycles
-                flush_total += layer_flush
-                self._record_layer(layer.name, layer_cycles, layer_flush)
-        finally:
-            if profiling:
-                profiler.end_run()
-
-        stats_copy = CheckStats()
-        stats_copy.merge(self.controller.stats)
-        return RunResult(
-            task_name=program.task_name,
-            cycles=total,
-            macs=program.total_macs,
-            layers=layers,
-            peak_macs_per_cycle=self.config.peak_macs_per_cycle,
-            check_stats=stats_copy,
-            flush_overhead_cycles=flush_total,
-            dma_requests=self.dma.stats.requests,
-            dma_packets=self.dma.stats.packets,
+                    seg_sum, seg_first_load, seg_last_store = 0.0, None, 0.0
+        if seg_first_load is not None or seg_sum:
+            layer_cycles += seg_sum + (seg_first_load or 0.0) + seg_last_store
+        if flush == "layer" or (flush == "layer5" and (i + 1) % 5 == 0):
+            boundary = core._boundary_cost(layer, share)
+            layer_cycles += boundary
+            layer_flush += boundary
+            n_bound += 1
+        if profiling:
+            scrub, ctx, refetch = core._boundary_parts(layer, share)
+            checks_delta = ctrl_stats.checks - checks0
+            self.profiler.layer(
+                layer.name,
+                layer.index,
+                layer_cycles,
+                [
+                    ("flush.scrub", n_bound * scrub),
+                    ("flush.context_switch", n_bound * ctx),
+                    ("flush.refetch", n_bound * refetch),
+                    ("pe.compute", comp_sum),
+                    ("dma.stall.iotlb", dma_stats.stall_cycles - stall0),
+                    ("dma.stall.crypto", dma_stats.crypto_cycles - crypto0),
+                    ("dma.issue", dma_stats.issue_cycles - issue0),
+                    (
+                        "guarder.check",
+                        checks_delta * core.controller.CHECK_CYCLES,
+                    ),
+                ],
+                residual="dma.transfer",
+                stats={
+                    "dma_busy": core.dma.cursor - cursor0,
+                    "compute_busy": comp_sum,
+                    "macs": float(layer.macs),
+                    "page_walks": float(ctrl_stats.page_walks - walks0),
+                    "checks": float(checks_delta),
+                },
+                run=self.prof,
+            )
+        self.layers.append(
+            LayerResult(
+                name=layer.name,
+                index=layer.index,
+                cycles=layer_cycles,
+                load_bytes=layer.load_bytes,
+                store_bytes=layer.store_bytes,
+                compute_cycles=layer.compute_cycles,
+                macs=layer.macs,
+                flush_cycles=layer_flush,
+            )
         )
+        self.total += layer_cycles
+        self.flush_total += layer_flush
+        core._record_layer(layer.name, layer_cycles, layer_flush)
+
+    def end(self) -> None:
+        """Archive this run's profiler ledger (finished or not)."""
+        if self.prof is not None:
+            self.profiler.end_run(self.prof)
+
+    def result(self) -> RunResult:
+        core = self.core
+        stats_copy = CheckStats()
+        stats_copy.merge(core.controller.stats)
+        return RunResult(
+            task_name=self.program.task_name,
+            cycles=self.total,
+            macs=self.program.total_macs,
+            layers=self.layers,
+            peak_macs_per_cycle=core.config.peak_macs_per_cycle,
+            check_stats=stats_copy,
+            flush_overhead_cycles=self.flush_total,
+            dma_requests=core.dma.stats.requests,
+            dma_packets=core.dma.stats.packets,
+        )
+
+
+def run_sweep(
+    cores: Sequence[NPUCore],
+    program: NPUProgram,
+    share: float = 1.0,
+    flush: Optional[str] = None,
+) -> List[RunResult]:
+    """Run *program* on every core, layer by layer; one result per core.
+
+    Each result equals what ``core.run_detailed(program, share, flush)``
+    returns for the same fresh core, but the sweep walks the program
+    once: the first core whose fast path needs a layer folds it, every
+    core proves and replays that fold against its own controller, and
+    the fold is dropped before the next layer.  The cores must not share
+    a controller.  A fault in any core ends the sweep with that core's
+    exception; every profiler run it opened is archived first.
+    """
+    if flush is not None and flush not in FLUSH_GRANULARITIES:
+        raise ConfigError(f"unknown flush granularity {flush!r}")
+    if len({id(core.controller) for core in cores}) != len(cores):
+        raise ConfigError("run_sweep needs one controller per core")
+    runs: List[_DetailedRun] = []
+    try:
+        for core in cores:
+            runs.append(_DetailedRun(core, program, share, flush))
+        for i, layer in enumerate(program.layers):
+            # Rebinding drops the previous layer's fold before any core
+            # can fold this one.
+            shared = _fastpath.LayerFold(layer)
+            for run in runs:
+                run.layer(i, shared)
+    finally:
+        for run in runs:
+            run.end()
+    return [run.result() for run in runs]

@@ -29,13 +29,17 @@ Design rules that make the equivalence hold exactly:
   attacker attached, telemetry collectors that observe per-transfer events
   disabled.  Anything unprovable routes to the event simulator and bumps
   the ``sim.fastpath.fallbacks`` counter (plus a per-reason counter).
-* **No state across runs.**  Each layer is folded, proven and replayed
-  inside one ``run_detailed`` call, and the fold is dropped when the
-  layer ends.  Nothing is cached on layer objects or in module globals,
-  so peak memory is one layer's fold and no cache can go stale.
+* **One fold per layer per sweep.**  :func:`repro.npu.core.run_sweep`
+  walks one program under several cores layer by layer.  The first core
+  whose :class:`FastRun` needs a layer folds it into a
+  :class:`LayerFold`; every core then proves and replays that fold
+  against its own controller, and the sweep drops it before the next
+  layer.  Nothing is cached on layer objects, across sweeps or in module
+  globals, so peak memory is one layer's fold and no cache can go stale
+  (``run_detailed`` is the one-core sweep).
 
-Every ``run_detailed`` call tries the fast path; the event simulator is
-the fallback and the reference.  :func:`forced` pins the event path for
+Every detailed run tries the fast path; the event simulator is the
+fallback and the reference.  :func:`forced` pins the event path for
 the differential tests.
 """
 
@@ -76,9 +80,9 @@ _PERM_MASK = {member: int(member) for member in Permission}
 def forced(on: bool) -> Iterator[None]:
     """Pin the timing engine for a ``with`` block (test only).
 
-    ``forced(False)`` sends every ``run_detailed`` call to the event
-    simulator without touching the fallback counters: the reference leg
-    of the differential tests.  ``forced(True)`` is the default.
+    ``forced(False)`` sends every detailed run to the event simulator
+    without touching the fallback counters: the reference leg of the
+    differential tests.  ``forced(True)`` is the default.
     """
     global _EVENT_ONLY
     saved = _EVENT_ONLY
@@ -122,7 +126,7 @@ def _fallback(reason: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# Schedule fold (one per layer per run, dropped when the layer ends)
+# Schedule fold (one per layer per sweep, dropped when the layer ends)
 # ----------------------------------------------------------------------
 class _Fold:
     """Everything the precheck and the replay need, from one factory walk."""
@@ -194,6 +198,32 @@ def _fold_layer(layer) -> _Fold:
         fold.iters.append((loads, stores, it.compute_cycles, it.macs))
         fold.macs += it.macs
     return fold
+
+
+class LayerFold:
+    """One layer of a sweep, folded on first use and shared by its cores.
+
+    The fold reads only the layer's schedule, never a controller, so
+    every core of a sweep can prove and replay the same one.  A fold
+    that raises is remembered as failed: each run still counts its own
+    ``fold_error`` fallback, but the layer is not folded again.
+    """
+
+    __slots__ = ("layer", "_fold", "_failed")
+
+    def __init__(self, layer) -> None:
+        self.layer = layer
+        self._fold: Optional[_Fold] = None
+        self._failed = False
+
+    def get(self) -> Optional[_Fold]:
+        """The layer's fold, or None when folding it raised."""
+        if self._fold is None and not self._failed:
+            try:
+                self._fold = _fold_layer(self.layer)
+            except Exception:
+                self._failed = True
+        return self._fold
 
 
 # ----------------------------------------------------------------------
@@ -561,7 +591,13 @@ _KINDS = {NoProtection: "none", NPUGuarder: "guarder",
 
 
 class FastRun:
-    """Per-``run_detailed``-call fast-path context (one per eligible run)."""
+    """One core's fast-path context for its run in a sweep.
+
+    :meth:`layer` proves and replays a sweep's shared :class:`LayerFold`
+    against this core's controller and counts this run's fallbacks.
+    :func:`begin_run` returns None instead of a context when the whole
+    run must take the event path.
+    """
 
     __slots__ = ("core", "share", "ctrl", "kind", "switches0")
 
@@ -572,14 +608,13 @@ class FastRun:
         self.kind = kind
         self.switches0 = getattr(ctrl, "world_switches", 0)
 
-    def layer(self, layer) -> Optional[Tuple[float, float]]:
+    def layer(self, shared: LayerFold) -> Optional[Tuple[float, float]]:
         """(layer_cycles, comp_sum) on the fast path, else None."""
-        if layer.iteration_factory is None:
+        if shared.layer.iteration_factory is None:
             _fallback("no_iterations")
             return None
-        try:
-            fold = _fold_layer(layer)
-        except Exception:
+        fold = shared.get()
+        if fold is None:
             _fallback("fold_error")
             return None
         kind = self.kind

@@ -183,21 +183,32 @@ class CycleProfiler:
     # Run-scoped attribution (the NPU timing paths)
     # ------------------------------------------------------------------
     def begin_run(self, task: str, mode: str) -> Optional[RunProfile]:
-        """Open a run ledger; returns None while disabled."""
+        """Open a run ledger and make it the current one.
+
+        Returns the run's handle, which :meth:`layer` and :meth:`end_run`
+        take so that interleaved runs (a sweep of cores advancing layer
+        by layer) each keep their own ledger; None while disabled.
+        """
         if not self.enabled:
             return None
         run = RunProfile(task=task, mode=mode)
         self._current = run
         return run
 
-    def end_run(self) -> Optional[RunProfile]:
-        """Close the current run and archive it."""
+    def end_run(self, run: Optional[RunProfile] = None) -> Optional[RunProfile]:
+        """Archive *run* (default: the current run).
+
+        Runs are archived in the order they end.  Ending a run other than
+        the current one leaves the current run open and current.
+        """
         if not self.enabled:
             return None
-        run = self._current
+        if run is None:
+            run = self._current
         if run is not None:
             self.runs.append(run)
-            self._current = None
+            if run is self._current:
+                self._current = None
         return run
 
     def layer(
@@ -208,8 +219,10 @@ class CycleProfiler:
         parts: Sequence[Tuple[str, float]],
         residual: str = "dma.transfer",
         stats: Optional[Dict[str, float]] = None,
+        run: Optional[RunProfile] = None,
     ) -> None:
-        """Attribute one finished layer (see :func:`split_exact`)."""
+        """Attribute one finished layer to *run* (default: the current
+        run; see :func:`split_exact`)."""
         if not self.enabled:
             return
         exact_parts = split_exact(total, parts, residual)
@@ -220,7 +233,8 @@ class CycleProfiler:
             parts=exact_parts,
             stats=dict(stats or {}),
         )
-        run = self._current
+        if run is None:
+            run = self._current
         if run is None:
             # A layer outside begin_run/end_run still lands in a ledger.
             run = RunProfile(task="<adhoc>", mode="adhoc")

@@ -116,6 +116,8 @@ def _write_inputs(tmp: Path) -> None:
     (tmp / "breaching.slo.json").write_text(json.dumps(BREACHING_SPEC))
     (tmp / "old.json").write_text(json.dumps(_bench(4_000_000.0)))
     (tmp / "new.json").write_text(json.dumps(_bench(4_800_000.0)))
+    (tmp / "boom.py").write_text("raise RuntimeError('kaput')\n")
+    (tmp / "notpy.txt").write_text("this is not python at all {{{\n")
 
 
 def _row(row_id, command, code, fragment, *, before=None, fault=None):
@@ -167,6 +169,24 @@ EXITS = [
          "out of memory"),
     _row("run-unknown-model", "run lenet", 2, "unknown model 'lenet'"),
     _row("disasm-unknown-model", "disasm lenet", 2, "unknown model 'lenet'"),
+    _row("profile-unknown-model", "profile nonesuch", 2,
+         "unknown model 'nonesuch'"),
+    _row("stats-unknown-model", "stats nonesuch", 2,
+         "unknown model 'nonesuch'"),
+    _row("flows-unknown-model", "flows nonesuch", 2,
+         "unknown model 'nonesuch'"),
+    _row("profile-unknown-diff-base", "profile resnet --diff warp9", 2,
+         "unknown protection 'warp9' for --diff"),
+    _row("audit-unknown-protection", "audit warp9", 2,
+         "unknown protection 'warp9'"),
+    # Unusable input: a trace script that is missing, fails or is not
+    # Python.
+    _row("trace-missing-script", "trace {tmp}/does/not/exist.py", 2,
+         "no such script"),
+    _row("trace-failing-script", "trace {tmp}/boom.py --out {tmp}/t.json",
+         2, "RuntimeError: kaput"),
+    _row("trace-non-python-script", "trace {tmp}/notpy.txt", 2,
+         "must be a .py script or a model name"),
     _row("experiments-unknown-id", "experiments fig99", 2, "cluster-sweep"),
     # Unusable input: a BENCH file that is missing or not a JSON object.
     _row("bench-diff-missing-file",

@@ -10,11 +10,14 @@ snapshots and audit ledger.  The fallback predicate is property-tested:
 any schedule the analytic model cannot prove clean must route to the
 event path (bumping ``sim.fastpath.fallbacks``) and still produce
 identical outcomes — including identical exceptions and identical
-partially-mutated statistics when the run faults.
+partially-mutated statistics when the run faults.  A sweep of one
+program under many controllers (``run_sweep``) equals the same fresh
+cores run one at a time, on either timing path.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -31,7 +34,7 @@ from repro.mmu.guarder import NPUGuarder
 from repro.mmu.iommu import IOMMU
 from repro.mmu.smmu import TrustZoneSMMU
 from repro.npu.config import NPUConfig
-from repro.npu.core import NPUCore
+from repro.npu.core import NPUCore, run_sweep
 from repro.sim import fastpath
 from repro.soc import SoC, SoCConfig
 from repro.workloads import zoo
@@ -184,8 +187,8 @@ def _holey_table(program) -> PageTable:
     return table
 
 
-def _permissive_guarder() -> NPUGuarder:
-    guarder = NPUGuarder()
+def _permissive_guarder(cls=NPUGuarder) -> NPUGuarder:
+    guarder = cls()
     guarder.set_checking_register(
         0, AddressRange(0, 1 << 40), Permission.RW, World.NORMAL,
         issuer=World.SECURE,
@@ -252,6 +255,31 @@ def _make_controller(kind, program):
     return smmu
 
 
+def _core_state(core) -> dict:
+    """A core's final DMA, systolic, controller and IOTLB state."""
+    dma, ctrl = core.dma, core.controller
+    hist = dma._h_transfer
+    state = dict(
+        dma_stats=vars(dma.stats).copy(),
+        cursor=dma.cursor,
+        busy=core.systolic.busy_cycles,
+        macs_done=core.systolic.macs_done,
+        check_stats=vars(ctrl.stats).copy(),
+        histogram=(hist.count, hist._epoch_count, hist.total, hist.min,
+                   hist.max, list(hist.samples), hist._rng.getstate()),
+    )
+    if isinstance(ctrl, IOMMU):
+        state["iotlb"] = (
+            list(ctrl.iotlb._cache.items()),
+            ctrl.iotlb.hits,
+            ctrl.iotlb.misses,
+            ctrl._last_vpage,
+            ctrl._walk_cursor,
+            ctrl._pending_walk_cycles,
+        )
+    return state
+
+
 def _run_core(builder, kind, flush, share, attacker, fast):
     """Compile + run one scenario on a bare core; capture everything."""
     with fastpath.forced(fast):
@@ -268,7 +296,6 @@ def _run_core(builder, kind, flush, share, attacker, fast):
                 result = core.run_detailed(program, share=share, flush=flush)
             except Exception as exc:  # noqa: BLE001 - compared across legs
                 error = type(exc).__name__
-            dma = core.dma
             state = dict(
                 error=error,
                 cycles=None if result is None else result.cycles,
@@ -276,22 +303,9 @@ def _run_core(builder, kind, flush, share, attacker, fast):
                     (lay.name, lay.cycles, lay.flush_cycles)
                     for lay in result.layers
                 ],
-                dma_stats=vars(dma.stats).copy(),
-                cursor=dma.cursor,
-                busy=core.systolic.busy_cycles,
-                macs_done=core.systolic.macs_done,
-                check_stats=vars(ctrl.stats).copy(),
                 audit=(telemetry.audit.records, telemetry.audit.clock),
+                **_core_state(core),
             )
-            if isinstance(ctrl, IOMMU):
-                state["iotlb"] = (
-                    list(ctrl.iotlb._cache.items()),
-                    ctrl.iotlb.hits,
-                    ctrl.iotlb.misses,
-                    ctrl._last_vpage,
-                    ctrl._walk_cursor,
-                    ctrl._pending_walk_cycles,
-                )
             prof_runs, prof_counts = _profiler_state(scope)
             state["prof_runs"] = prof_runs
             state["prof_counts"] = prof_counts
@@ -362,3 +376,93 @@ def test_unprovable_schedule_routes_to_event_path():
     for key in slow:
         assert slow[key] == fast[key], f"observable {key!r} differs"
     assert fast_counts.get("fallbacks.iommu_unprovable", 0) >= 1
+
+
+# ----------------------------------------------------------------------
+# Sweeps: one program under many controllers, layer by layer
+# ----------------------------------------------------------------------
+class _OpaqueGuarder(NPUGuarder):
+    """An unknown controller subclass: its runs take the event path."""
+
+
+#: The sweep's controllers, in core order.
+SWEEP_CONTROLLERS = ("guarder", "guarder-split", "none", "iommu-4",
+                     "iommu-32", "smmu", "opaque")
+TINY_ZOO = [model.name for model in zoo.paper_models("tiny")]
+
+
+def _sweep_controller(kind, program):
+    if kind.startswith("iommu-"):
+        entries = int(kind.split("-")[1])
+        return IOMMU(_identity_table(program), iotlb_entries=entries)
+    if kind == "opaque":
+        return _permissive_guarder(_OpaqueGuarder)
+    return _make_controller(kind, program)
+
+
+def _sweep(model_name, flush, *, sweep, fast=True):
+    """Every sweep controller's core on one tiny-zoo model, run as one
+    ``run_sweep`` (*sweep*) or one ``run_detailed`` at a time."""
+    model = next(m for m in zoo.paper_models("tiny") if m.name == model_name)
+    with fastpath.forced(fast):
+        with telemetry.scoped(trace=False) as scope:
+            config = NPUConfig.paper_default()
+            program = TilingCompiler(config).compile(model)
+            dram = DRAMModel(config.dram_bytes_per_cycle)
+            cores = [NPUCore(config, _sweep_controller(kind, program), dram)
+                     for kind in SWEEP_CONTROLLERS]
+            if sweep:
+                results = run_sweep(cores, program, flush=flush)
+            else:
+                results = [core.run_detailed(program, flush=flush)
+                           for core in cores]
+            prof_runs, prof_counts = _profiler_state(scope)
+            state = dict(
+                results=[dataclasses.asdict(result) for result in results],
+                cores=[_core_state(core) for core in cores],
+                prof_runs=prof_runs,
+                prof_counts=prof_counts,
+                audit=(list(scope.audit.records), scope.audit.clock),
+            )
+            snapshot = scope.metrics.snapshot()
+    prefix = fastpath.GROUP_PREFIX + "."
+    state["metrics"] = {
+        key: value for key, value in snapshot.items()
+        if not str(key).startswith(prefix)
+    }
+    return state, _fast_counters(snapshot), len(program.layers)
+
+
+@pytest.mark.parametrize("model_name", TINY_ZOO)
+def test_sweep_equals_runs_one_at_a_time(model_name):
+    """A sweep leaves every core, result, profiler run, counter and the
+    audit clock exactly as the same cores run one at a time, on the
+    fast path and on the event simulator."""
+    swept, swept_counts, n_layers = _sweep(model_name, None, sweep=True)
+    single, single_counts, _ = _sweep(model_name, None, sweep=False)
+    event, event_counts, _ = _sweep(model_name, None, sweep=False,
+                                    fast=False)
+    _assert_identical(single, swept)
+    _assert_identical(event, swept)
+    assert swept_counts == single_counts
+    assert event_counts == {}
+    # Every known controller replays every layer; the opaque one is
+    # refused once, at run level.
+    assert swept_counts == {
+        "fast_layers": (len(SWEEP_CONTROLLERS) - 1) * n_layers,
+        "fallbacks": 1,
+        "fallbacks.controller": 1,
+    }
+
+
+@pytest.mark.parametrize("model_name", TINY_ZOO[:2])
+def test_flush_sweep_equals_runs_one_at_a_time(model_name):
+    """Under ``flush="tile"`` every layer of every core takes the event
+    path, interleaved across cores, and still matches."""
+    swept, swept_counts, _ = _sweep(model_name, "tile", sweep=True)
+    single, single_counts, _ = _sweep(model_name, "tile", sweep=False)
+    _assert_identical(single, swept)
+    assert swept_counts == single_counts == {
+        "fallbacks": len(SWEEP_CONTROLLERS),
+        "fallbacks.flush": len(SWEEP_CONTROLLERS),
+    }

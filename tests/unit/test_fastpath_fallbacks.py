@@ -8,10 +8,13 @@ mid-run, per-transfer telemetry collectors, functional data movement,
 and unknown controller subclasses.  The fast path keeps no state across
 ``run_detailed`` calls: a repeated run equals the event run, a later
 run re-proves the controller it is given, and no layer object gains an
-attribute.
+attribute.  A sweep (``run_sweep``) folds each layer once for all its
+cores and drops the fold before the next layer.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import pytest
 
@@ -21,7 +24,7 @@ from repro.memory.dram import DRAMModel
 from repro.mmu.base import NoProtection
 from repro.mmu.guarder import NPUGuarder
 from repro.npu.config import NPUConfig
-from repro.npu.core import FLUSH_GRANULARITIES, NPUCore
+from repro.npu.core import FLUSH_GRANULARITIES, NPUCore, run_sweep
 from repro.sim import fastpath
 from repro.workloads.synthetic import synthetic_cnn, synthetic_mlp
 
@@ -169,10 +172,10 @@ def test_world_switch_mid_run_forces_event_path(config, compiler):
         fast_run = fastpath.begin_run(core, 1.0, None)
         assert fast_run is not None
         layer = program.layers[0]
-        assert fast_run.layer(layer) is not None  # clean: runs fast
+        assert fast_run.layer(fastpath.LayerFold(layer)) is not None  # clean: runs fast
         smmu.switch_world(World.SECURE)
         smmu.switch_world(World.NORMAL)  # back, but switches advanced
-        assert fast_run.layer(layer) is None
+        assert fast_run.layer(fastpath.LayerFold(layer)) is None
         counters = _counters(scope.metrics.snapshot())
     assert counters.get("fallbacks.world_switch", 0) == 1
     assert counters.get("fast_layers", 0) == 1
@@ -261,3 +264,164 @@ def test_iommu_run_leaves_layers_unchanged(config, compiler):
                        controller=IOMMU(table, iotlb_entries=16))
     assert counters == {"fast_layers": len(program.layers)}
     assert [sorted(vars(layer)) for layer in program.layers] == before
+
+
+# ----------------------------------------------------------------------
+# Sweeps: one fold per layer, shared by every core, dropped per layer
+# ----------------------------------------------------------------------
+def _identity_table(program):
+    from repro.memory.pagetable import PageTable
+
+    table = PageTable()
+    for rng in program.chunks.values():
+        base = rng.base & ~0xFFF
+        table.map_range(base, base, rng.size + 8192)
+    return table
+
+
+def _five_cores(program, config):
+    """A Guarder, NoProtection, two IOMMUs and an sMMU: all fast."""
+    from repro.mmu.iommu import IOMMU
+    from repro.mmu.smmu import TrustZoneSMMU
+
+    table = _identity_table(program)
+    dram = DRAMModel(config.dram_bytes_per_cycle)
+    controllers = [_guarder(), NoProtection(), IOMMU(table, iotlb_entries=4),
+                   IOMMU(table, iotlb_entries=32),
+                   TrustZoneSMMU(table, iotlb_entries=16)]
+    return [NPUCore(config, ctrl, dram) for ctrl in controllers]
+
+
+def test_sweep_folds_each_layer_once(config, compiler, monkeypatch):
+    """Five cores in one sweep fold each layer once; the same five cores
+    run one at a time fold it five times."""
+    program = compiler.compile(synthetic_mlp())
+    names = [layer.name for layer in program.layers]
+    folded = []
+    real = fastpath._fold_layer
+
+    def counting(layer):
+        folded.append(layer.name)
+        return real(layer)
+
+    monkeypatch.setattr(fastpath, "_fold_layer", counting)
+    with telemetry.scoped(trace=False) as scope:
+        run_sweep(_five_cores(program, config), program)
+        counters = _counters(scope.metrics.snapshot())
+    assert folded == names
+    assert counters == {"fast_layers": 5 * len(names)}
+    folded.clear()
+    with telemetry.scoped(trace=False):
+        for core in _five_cores(program, config):
+            core.run_detailed(program)
+    assert folded == names * 5
+
+
+def test_sweep_drops_each_fold_before_the_next(config, compiler,
+                                               monkeypatch):
+    """No fold outlives its layer: when layer i+1 is folded, layer i's
+    fold is already dead, and none survives the sweep."""
+
+    class WeakFold(fastpath._Fold):
+        __slots__ = ("__weakref__",)
+
+    monkeypatch.setattr(fastpath, "_Fold", WeakFold)
+    refs = []
+    alive_at_fold = []
+    real = fastpath._fold_layer
+
+    def tracking(layer):
+        alive_at_fold.append([ref() is not None for ref in refs])
+        fold = real(layer)
+        refs.append(weakref.ref(fold))
+        return fold
+
+    monkeypatch.setattr(fastpath, "_fold_layer", tracking)
+    program = compiler.compile(synthetic_cnn())
+    with telemetry.scoped(trace=False):
+        run_sweep(_five_cores(program, config), program)
+    assert len(refs) == len(program.layers) > 1
+    assert alive_at_fold == [[False] * i for i in range(len(refs))]
+    assert all(ref() is None for ref in refs)
+
+
+def test_fold_error_counts_once_per_run(config, compiler, monkeypatch):
+    """A layer whose fold raises is folded once per sweep, counts
+    ``fold_error`` once in each core's run, and takes the event path."""
+    program = compiler.compile(synthetic_mlp())
+    broken = program.layers[1].name
+    real = fastpath._fold_layer
+    attempts = []
+
+    def failing(layer):
+        attempts.append(layer.name)
+        if layer.name == broken:
+            raise RuntimeError("unfoldable")
+        return real(layer)
+
+    monkeypatch.setattr(fastpath, "_fold_layer", failing)
+    with telemetry.scoped(trace=False) as scope:
+        cores = _five_cores(program, config)[:3]
+        results = run_sweep(cores, program)
+        counters = _counters(scope.metrics.snapshot())
+    assert attempts.count(broken) == 1
+    n_layers = len(program.layers)
+    assert counters == {
+        "fast_layers": 3 * (n_layers - 1),
+        "fallbacks": 3,
+        "fallbacks.fold_error": 3,
+    }
+    with fastpath.forced(False), telemetry.scoped(trace=False):
+        event = [core.run_detailed(program)
+                 for core in _five_cores(program, config)[:3]]
+    assert [r.cycles for r in results] == [r.cycles for r in event]
+
+
+def test_fault_mid_sweep_raises_and_closes_every_run(config, compiler):
+    """A holey page table faults one core mid-sweep: the sweep raises
+    that core's TranslationFault at the layer its own run faults on, and
+    archives every profiler run it opened."""
+    from repro.errors import TranslationFault
+    from repro.memory.pagetable import PageTable
+    from repro.mmu.iommu import IOMMU
+
+    program = compiler.compile(synthetic_cnn())
+    holey = PageTable()
+    for _name, rng in sorted(program.chunks.items())[:-1]:
+        base = rng.base & ~0xFFF
+        holey.map_range(base, base, rng.size + 8192)
+    dram = DRAMModel(config.dram_bytes_per_cycle)
+
+    with telemetry.scoped(trace=False) as solo:
+        core = NPUCore(config, IOMMU(holey, iotlb_entries=16), dram)
+        with pytest.raises(TranslationFault):
+            core.run_detailed(program)
+    fault_layer = len(solo.profiler.runs[0].layers)
+
+    with telemetry.scoped(trace=False) as scope:
+        cores = [
+            NPUCore(config, _guarder(), dram),
+            NPUCore(config, IOMMU(holey, iotlb_entries=16), dram),
+            NPUCore(config, IOMMU(_identity_table(program), 16), dram),
+        ]
+        with pytest.raises(TranslationFault):
+            run_sweep(cores, program)
+        profiler = scope.profiler
+        assert profiler.end_run() is None  # no run left open
+    # Cores before the faulting one finished its layer; it and every core
+    # after it stopped there.
+    assert [len(run.layers) for run in profiler.runs] == [
+        fault_layer + 1, fault_layer, fault_layer,
+    ]
+    assert vars(cores[1].dma.stats) == vars(core.dma.stats)
+
+
+def test_sweep_rejects_a_shared_controller(config, compiler):
+    from repro.errors import ConfigError
+
+    program = compiler.compile(synthetic_mlp())
+    ctrl = _guarder()
+    dram = DRAMModel(config.dram_bytes_per_cycle)
+    with pytest.raises(ConfigError, match="one controller per core"):
+        run_sweep([NPUCore(config, ctrl, dram), NPUCore(config, ctrl, dram)],
+                  program)

@@ -134,6 +134,31 @@ class TestCycleProfiler:
         assert by_cat["pe.compute"] == Fraction(10)
         assert by_cat["dma.transfer"] == Fraction(10)
 
+    def test_interleaved_runs_keep_their_own_layers(self):
+        p = self._profiler()
+        a = p.begin_run("a", "detailed")
+        b = p.begin_run("b", "detailed")
+        p.layer("a0", 0, 10.0, [("pe.compute", 10.0)], run=a)
+        p.layer("b0", 0, 20.0, [("pe.compute", 5.0)], run=b)
+        p.layer("a1", 1, 30.0, [("pe.compute", 30.0)], run=a)
+        assert [lay.name for lay in a.layers] == ["a0", "a1"]
+        assert [lay.name for lay in b.layers] == ["b0"]
+        assert a.total() == Fraction(40) and b.total() == Fraction(20)
+        assert p.total_attributed() == Fraction(60)
+
+    def test_end_run_archives_in_call_order_and_keeps_current(self):
+        p = self._profiler()
+        a = p.begin_run("a", "detailed")
+        b = p.begin_run("b", "detailed")  # b is now the current run
+        assert p.end_run(a) is a
+        assert p.runs == [a]
+        # b stays open and current: handle-less calls still land in it.
+        p.layer("b0", 0, 10.0, [("pe.compute", 10.0)])
+        assert [lay.name for lay in b.layers] == ["b0"]
+        assert p.end_run() is b
+        assert p.runs == [a, b]
+        assert p.end_run() is None
+
     def test_count_accumulates(self):
         p = self._profiler()
         p.count("iotlb.walks")
