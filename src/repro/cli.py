@@ -1078,7 +1078,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiments", help="regenerate tables/figures")
     p_exp.add_argument("ids", nargs="*", metavar="ID",
                        help="experiment ids, or all (default: all)")
-    p_exp.add_argument("--profile", choices=("tiny", "eval", "paper"),
+    p_exp.add_argument("--profile", choices=zoo.PROFILES,
                        default="eval")
     p_exp.add_argument(
         "--outdir", default="results", metavar="DIR",
@@ -1373,7 +1373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser(
         "validate", help="cross-check the analytic vs detailed timing paths"
     )
-    p_val.add_argument("--profile", choices=("tiny", "eval", "paper"),
+    p_val.add_argument("--profile", choices=zoo.PROFILES,
                        default="tiny")
     p_val.set_defaults(func=_cmd_validate)
 

@@ -5,8 +5,9 @@ number of them) and can be executed directly::
 
     python -m repro.experiments.fig13
 
-The benchmark suite (``benchmarks/``) drives the same entry points and
-asserts the paper's qualitative shapes.
+:mod:`repro.experiments.claims` states the paper's qualitative claims
+over the same entry points; ``tests/integration/test_claims.py`` checks
+them at every profile.
 """
 
 from repro.experiments.runner import ExperimentResult, format_table

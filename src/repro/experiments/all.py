@@ -4,11 +4,11 @@ Usage::
 
     python -m repro.experiments.all [profile] [outdir]
 
-``profile`` is ``eval`` (default, reduced resolution) or ``paper``
-(full input shapes; several times slower).  With ``outdir`` set, each
-experiment also writes ``<exp_id>.json`` (figure data) and
-``<exp_id>.metrics.json`` (the telemetry snapshot captured while it ran)
-into that directory.
+``profile`` is one of :data:`repro.workloads.zoo.PROFILES`: ``eval``
+(default, reduced resolution), ``tiny`` or ``paper`` (full input
+shapes).  With ``outdir`` set, each experiment also writes
+``<exp_id>.json`` (figure data) and ``<exp_id>.metrics.json`` (the
+telemetry snapshot captured while it ran) into that directory.
 
 Experiments are declared in :data:`REGISTRY` with relative cost hints
 (measured ``eval`` wall-clock) and dependencies; ``repro all --jobs N``

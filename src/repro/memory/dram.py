@@ -89,10 +89,6 @@ class DRAMModel:
         """Streaming transfer time for *nbytes* at a bandwidth *share*."""
         return self.channel.cycles_for(nbytes, share)
 
-    def walk_access_cycles(self) -> float:
-        """Latency of one serialized page-table access."""
-        return float(self.access_latency)
-
     def record_flow(self, request: DmaRequest, nbytes: float) -> None:
         """Annotate *request*'s flow with the bytes it moved on this channel."""
         flows = telemetry.flows

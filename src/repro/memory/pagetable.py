@@ -13,7 +13,7 @@ the page table ("an additional secure bit is used in the sMMU", §II-D).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 from repro.common.types import PAGE_SIZE, Permission, World, page_of
 from repro.errors import ConfigError
@@ -80,9 +80,6 @@ class PageTable:
         if pte is None:
             return None
         return pte.ppage * PAGE_SIZE + vaddr % PAGE_SIZE
-
-    def mapped_pages(self) -> Iterable[int]:
-        return self._entries.keys()
 
     def __len__(self) -> int:
         return len(self._entries)

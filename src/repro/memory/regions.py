@@ -105,7 +105,3 @@ class MemoryMap:
     def secure_ranges(self) -> List[AddressRange]:
         """Physical ranges that belong to the secure world."""
         return [r.range for r in self._regions if r.world is World.SECURE]
-
-    @property
-    def total_size(self) -> int:
-        return sum(r.range.size for r in self._regions)

@@ -113,10 +113,6 @@ class LayerSchedule:
         return self.load_bytes / self.n_iterations
 
     @property
-    def store_bytes_per_iter(self) -> float:
-        return self.store_bytes / self.n_iterations
-
-    @property
     def compute_cycles_per_iter(self) -> float:
         return self.compute_cycles / self.n_iterations
 
@@ -153,10 +149,6 @@ class NPUProgram:
     @property
     def total_load_bytes(self) -> float:
         return sum(layer.load_bytes for layer in self.layers)
-
-    @property
-    def total_store_bytes(self) -> float:
-        return sum(layer.store_bytes for layer in self.layers)
 
     @property
     def total_iterations(self) -> int:

@@ -5,10 +5,10 @@ GoogleNet, AlexNet, YOLO-lite, MobileNet, ResNet, and Bert" — CV and NLP
 networks with different model sizes, kernel types and compute/memory
 balance.
 
-Every builder takes an ``input_size`` (CNNs) or ``seq_len`` (BERT) so the
-benchmarks can run a reduced-resolution *eval profile* (documented in
-EXPERIMENTS.md) while keeping layer structure, channel counts and
-compute/memory ratios faithful.
+Every builder takes an ``input_size`` (CNNs) or ``seq_len`` (BERT), so
+:func:`paper_models` can build the six at each of :data:`PROFILES` while
+keeping layer structure, channel counts and compute/memory ratios
+faithful.
 """
 
 from __future__ import annotations
@@ -379,22 +379,24 @@ MODEL_BUILDERS: Dict[str, Callable[..., ModelGraph]] = {
 }
 
 
-def paper_models(profile: str = "eval") -> List[ModelGraph]:
-    """The six evaluated models.
+_SCALES = {  # profile -> (CNN input size, BERT shape), smallest first
+    "tiny": (56, {"seq_len": 64, "layers": 2}),
+    "eval": (112, {"seq_len": 128, "layers": 6}),
+    "paper": (224, {"seq_len": 128, "layers": 12}),
+}
+PROFILES = tuple(_SCALES)
 
-    ``profile="paper"`` uses full input shapes (224x224, seq 128);
-    ``profile="eval"`` halves CNN resolution (112x112) and keeps BERT at
-    seq 128 but 6 encoder layers, cutting simulation time ~4x with the
-    same per-layer structure.
+
+def paper_models(profile: str = "eval") -> List[ModelGraph]:
+    """The six evaluated models at one of :data:`PROFILES`.
+
+    ``"paper"`` uses full input shapes (224x224, BERT seq 128, 12 layers);
+    ``"eval"`` halves CNN resolution and runs 6 BERT layers; ``"tiny"``
+    quarters it (56x56, seq 64, 2 layers).  Per-layer structure is kept.
     """
-    if profile == "paper":
-        cnn_size, bert_kwargs = 224, {"seq_len": 128, "layers": 12}
-    elif profile == "eval":
-        cnn_size, bert_kwargs = 112, {"seq_len": 128, "layers": 6}
-    elif profile == "tiny":
-        cnn_size, bert_kwargs = 56, {"seq_len": 64, "layers": 2}
-    else:
+    if profile not in PROFILES:
         raise ConfigError(f"unknown profile {profile!r}")
+    cnn_size, bert_kwargs = _SCALES[profile]
     return [
         googlenet(cnn_size),
         alexnet(cnn_size),

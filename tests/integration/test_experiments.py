@@ -1,17 +1,8 @@
-"""Smoke + shape tests for every experiment module (tiny profile)."""
+"""The experiment result container (the paper claims live in
+``test_claims.py``)."""
 
 import pytest
 
-from repro.experiments import (
-    fig01,
-    fig14,
-    fig15,
-    fig16,
-    fig17,
-    fig18,
-    table1,
-    tcb,
-)
 from repro.experiments.runner import ExperimentResult
 from repro.errors import ConfigError
 
@@ -36,87 +27,3 @@ class TestRunner:
         assert result.row_for("a", 3)["b"] == 4
         with pytest.raises(ConfigError):
             result.column("z")
-
-
-class TestFig01:
-    def test_shape(self):
-        result = fig01.run("tiny")
-        assert len(result.rows) == 6
-        for row in result.rows:
-            assert 0 < row["util_gemmini"] <= 1
-            assert 0 < row["util_tpu_like"] <= 1
-        # The TPU-like scale-up shows the paper's "most < 50%" regime.
-        below = sum(1 for r in result.rows if r["util_tpu_like"] < 0.5)
-        assert below >= 4
-
-
-class TestFig14:
-    def test_shape(self):
-        result = fig14.run("tiny")
-        for row in result.rows:
-            assert row["tile"] < row["layer"] <= row["layer5"] <= 1.0
-
-
-class TestFig15:
-    def test_shape(self):
-        result = fig15.run("tiny")
-        # 3 pairs x (3 static + 1 dynamic)
-        assert len(result.rows) == 12
-        for pair in {row["pair"] for row in result.rows}:
-            rows = [r for r in result.rows if r["pair"] == pair]
-            statics = [r["total"] for r in rows if r["policy"].startswith("partition")]
-            dynamic = [r["total"] for r in rows if r["policy"].startswith("dynamic")]
-            assert dynamic[0] <= min(statics) + 1e-9
-
-
-class TestFig16:
-    def test_shape(self):
-        result = fig16.run(sizes=(1, 16, 256))
-        for row in result.rows:
-            assert row["peephole"] == row["unauthorized"]
-            assert row["software"] > row["peephole"]
-        big = result.row_for("lines", 256)
-        assert 2.0 < big["software_over_peephole"] < 4.0
-
-
-class TestFig17:
-    def test_shape(self):
-        result = fig17.run("tiny")
-        for row in result.rows:
-            assert row["peephole"] == pytest.approx(1.0)
-            assert row["software"] < 1.0
-        mean_sw = sum(r["software"] for r in result.rows) / len(result.rows)
-        assert mean_sw < 0.95  # software NoC loses noticeably
-
-
-class TestFig18:
-    def test_shape(self):
-        result = fig18.run()
-        spad = result.row_for("component", "S_Spad")
-        assert 0.2 < spad["ram_pct"] < 1.5
-        iommu = result.row_for("component", "IOMMU")
-        snpu = result.row_for("component", "sNPU")
-        assert iommu["luts_pct"] > snpu["luts_pct"]
-        assert iommu["ffs_pct"] > snpu["ffs_pct"]
-
-
-class TestTable1:
-    def test_matches_paper_verdicts(self):
-        result = table1.run("tiny")
-        by = {r["mechanism"]: r for r in result.rows}
-        assert by["sNPU"]["utilization"] == "High"
-        assert by["sNPU"]["performance"] == "Good"
-        assert by["sNPU"]["sla"] == "Good"
-        assert by["partition"]["utilization"] == "Low"
-        assert by["flush (coarse-grained)"]["sla"] == "Poor"
-        assert by["flush (coarse-grained)"]["performance"] == "Good"
-        assert by["flush (fine-grained)"]["performance"] == "Low"
-        assert by["flush (fine-grained)"]["sla"] == "Good"
-
-
-class TestTCB:
-    def test_shape(self):
-        result = tcb.run()
-        components = result.column("component")
-        assert any("12854" in str(r["loc"]) or r["loc"] == 12854 for r in result.rows)
-        assert any("repro.monitor" in c for c in components)
