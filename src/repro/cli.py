@@ -78,7 +78,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.store import ingest_quietly
     from repro.store.ingest import record_from_run
 
-    with telemetry.scoped(trace=False) as scope:
+    with telemetry.scoped(trace=False, profile=False) as scope:
         soc = SoC(SoCConfig(protection=args.protection))
         print(model.summary())
         handle = soc.submit(model, secure=args.secure)
@@ -207,7 +207,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.store import ingest_quietly
     from repro.store.ingest import record_from_stats
 
-    with telemetry.scoped(trace=False) as scope:
+    with telemetry.scoped(trace=False, profile=False) as scope:
         soc = SoC(SoCConfig(protection=args.protection))
         result = soc.run_model(
             model, secure=args.secure, detailed=args.detailed

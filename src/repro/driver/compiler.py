@@ -220,61 +220,61 @@ class TilingCompiler:
         n_cap = _round_up(spec.n, d) if spec.n >= d else spec.n
         k_cap = _round_up(spec.k, d) if spec.k >= d else spec.k
 
-        best: Optional[Tuple[float, float, Blocking]] = None
-        m_candidates = [c for c in self._CANDIDATES if c <= m_cap] or [m_cap]
-        n_candidates = [c for c in self._CANDIDATES if c <= n_cap] or [n_cap]
-        k_options = sorted({c for c in self._CANDIDATES if c <= k_cap} | {k_cap})
-        for mb in m_candidates:
-            for nb in n_candidates:
+        # Split each candidate block size of each dimension once; a
+        # (mb, nb, kb) candidate is then priced from one row of each.
+        m_rows = [
+            (mb, self._m_row(spec, mb))
+            for mb in [c for c in self._CANDIDATES if c <= m_cap] or [m_cap]
+        ]
+        n_rows = [
+            (nb, self._n_row(spec, nb))
+            for nb in [c for c in self._CANDIDATES if c <= n_cap] or [n_cap]
+        ]
+        k_rows = [
+            (kb, self._k_row(spec, kb))
+            for kb in sorted({c for c in self._CANDIDATES if c <= k_cap} | {k_cap})
+        ]
+        best_key: Optional[Tuple[float, float]] = None
+        for mb, m_row in m_rows:
+            for nb, n_row in n_rows:
                 # Accumulator constraint (double buffered).
                 if mb * nb * acc_eb * 2 > acc_budget:
                     continue
                 # Scratchpad constraint: double-buffered input + weight blocks.
                 kb_max = budget // (2 * ib * (mb + nb))
-                k_candidates = [c for c in k_options if c <= kb_max]
-                if not k_candidates and k_cap < d and kb_max >= k_cap:
-                    k_candidates = [k_cap]
-                for kb in k_candidates:
-                    blocking = Blocking(
-                        mb=mb, kb=kb, nb=nb,
-                        pack=self._choose_pack(spec, Blocking(mb, kb, nb)),
+                traffic = self._traffic(spec, m_row[0], n_row[0])
+                for kb, k_row in k_rows:
+                    if kb > kb_max:
+                        break
+                    pack = self._choose_pack(spec, mb, kb)
+                    totals = self._gemm_totals(
+                        spec, m_row, k_row, n_row, _ceil_div(spec.repeat, pack)
                     )
-                    traffic = self._traffic(spec, blocking)
                     # Minimize the modelled pipeline time (the same per-
                     # iteration max(load, compute, store) the core charges),
                     # with raw traffic as tiebreak (energy/contention).
-                    est_time = self._estimate_layer_time(spec, blocking)
-                    key = (est_time, traffic)
-                    if best is None or key < best[:2]:
-                        best = (est_time, traffic, blocking)
-        if best is None:
+                    key = (self._pipeline_time(totals), traffic)
+                    if best_key is None or key < best_key:
+                        best_key, best = key, (mb, kb, nb, pack)
+        if best_key is None:
             # Fall back to the smallest legal tile.
-            fallback = Blocking(
-                mb=min(m_cap, d), kb=min(k_cap, d), nb=min(n_cap, d)
-            )
-            chosen = Blocking(
-                mb=fallback.mb,
-                kb=fallback.kb,
-                nb=fallback.nb,
-                pack=self._choose_pack(spec, fallback),
-            )
-        else:
-            chosen = best[2]
+            mb, kb, nb = min(m_cap, d), min(k_cap, d), min(n_cap, d)
+            best = (mb, kb, nb, self._choose_pack(spec, mb, kb))
+        chosen = Blocking(*best)
         if len(_BLOCKING_MEMO) >= _BLOCKING_MEMO_MAX:
             _BLOCKING_MEMO.pop(next(iter(_BLOCKING_MEMO)))
         _BLOCKING_MEMO[cache_key] = chosen
         return chosen
 
-    def _choose_pack(self, spec: GemmSpec, blocking: Blocking) -> int:
+    def _choose_pack(self, spec: GemmSpec, mb: int, kb: int) -> int:
         if spec.repeat == 1:
             return 1
-        per_group_in = blocking.mb * blocking.kb * self.config.input_bytes
+        per_group_in = mb * kb * self.config.input_bytes
         pack = max(1, self._PACK_TARGET_BYTES // max(per_group_in, 1))
         return min(spec.repeat, pack)
 
-    def _traffic(self, spec: GemmSpec, b: Blocking) -> float:
-        n_passes = _ceil_div(spec.n, b.nb)
-        m_passes = _ceil_div(spec.m, b.mb)
+    def _traffic(self, spec: GemmSpec, m_passes: int, n_passes: int) -> float:
+        """DRAM bytes of a blocking with this many M and N blocks."""
         per_repeat = (
             spec.input_bytes_per_pass * self.config.input_bytes * n_passes
             + spec.weight_bytes * self.config.input_bytes * m_passes
@@ -282,105 +282,148 @@ class TilingCompiler:
         )
         return float(per_repeat * spec.repeat)
 
-    def _aggregate_gemm(self, spec: GemmSpec, b: Blocking) -> dict:
-        """Exact schedule aggregates in O(1): ``count × value`` per block size.
+    # Each dimension splits into ``q`` full blocks of size ``block`` plus
+    # at most one edge block of size ``r``, so every sum over the blocks
+    # of a dimension collapses to ``q·f(block) + f(r)``.  One row per
+    # dimension holds those sums for one block size.
 
-        Each dimension splits into ``q`` full blocks of size ``block``
-        plus at most one edge block of size ``r``; every sum over the
-        blocks of a dimension therefore collapses to
-        ``q·f(block) + f(r)``.  All summands are ints, so the collapse
-        is exact, and the float fields equal a sequential fold over the
-        layer's iterations bit for bit (``tests/unit/test_isa_compiler.py``
-        holds the per-block list form and the fold as oracles).
-        """
-        cfg = self.config
-        d = cfg.array_dim
-        ib, ob = cfg.input_bytes, cfg.output_bytes
-        # Bytes of raw input fetched per M-row per full-K pass: the spec
-        # counts elements, the stride is in bytes.
-        row_eff = max(ib, (spec.input_bytes_per_pass // max(spec.m, 1)) * ib)
+    def _row_eff(self, spec: GemmSpec) -> int:
+        """Bytes of raw input fetched per M-row per full-K pass: the spec
+        counts elements, the stride is in bytes."""
+        ib = self.config.input_bytes
+        return max(ib, (spec.input_bytes_per_pass // max(spec.m, 1)) * ib)
 
-        def split(total: int, block: int) -> Tuple[int, int, int]:
-            q, r = divmod(total, block)
-            return q, r, q + (1 if r else 0)
-
-        qm, rm, nM = split(spec.m, b.mb)
-        qk, rk, nK = split(spec.k, b.kb)
-        qn, rn, nN = split(spec.n, b.nb)
+    def _m_row(self, spec: GemmSpec, mb: int) -> Tuple[int, int, int, int]:
+        """``(nM, sum_me, sum_sub_m, sum_sub_m_plain)`` for M blocks of *mb*."""
+        d = self.config.array_dim
+        qm, rm = divmod(spec.m, mb)
+        nM = qm + (1 if rm else 0)
+        sum_sub_m_plain = qm * _ceil_div(mb, d) + (_ceil_div(rm, d) if rm else 0)
         halo_cap = (
-            _ceil_div(spec.input_halo_bytes * ib, row_eff)
+            _ceil_div(spec.input_halo_bytes * self.config.input_bytes,
+                      self._row_eff(spec))
             if spec.input_halo_bytes
             else 0
         )
+        # m blocks gain a halo overlap except the very first block.
+        if not (halo_cap and nM > 1):
+            return nM, spec.m, sum_sub_m_plain, sum_sub_m_plain
+        hf = min(mb // 2, halo_cap)
+        he = min(rm // 2, halo_cap)
+        sum_me = spec.m + (qm - 1) * hf + (he if rm else 0)
+        sum_sub_m = (
+            _ceil_div(mb, d)
+            + (qm - 1) * _ceil_div(mb + hf, d)
+            + (_ceil_div(rm + he, d) if rm else 0)
+        )
+        return nM, sum_me, sum_sub_m, sum_sub_m_plain
 
-        sum_rowb = qk * max(ib, row_eff * b.kb // spec.k) + (
+    def _k_row(self, spec: GemmSpec, kb: int) -> Tuple[int, int, int]:
+        """``(nK, sum_rowb, sum_wtk)`` for K blocks of *kb*."""
+        d = self.config.array_dim
+        ib = self.config.input_bytes
+        row_eff = self._row_eff(spec)
+        qk, rk = divmod(spec.k, kb)
+        sum_rowb = qk * max(ib, row_eff * kb // spec.k) + (
             max(ib, row_eff * rk // spec.k) if rk else 0
         )
-        sum_wtk = qk * _ceil_div(b.kb, d) + (_ceil_div(rk, d) if rk else 0)
-        sum_wtn = qn * _ceil_div(b.nb, d) + (_ceil_div(rn, d) if rn else 0)
-        sum_sub_m_plain = qm * _ceil_div(b.mb, d) + (
-            _ceil_div(rm, d) if rm else 0
-        )
-        # m blocks gain a halo overlap except the very first block.
-        if halo_cap and nM > 1:
-            hf = min(b.mb // 2, halo_cap)
-            he = min(rm // 2, halo_cap)
-            sum_me = spec.m + (qm - 1) * hf + (he if rm else 0)
-            sum_sub_m = (
-                _ceil_div(b.mb, d)
-                + (qm - 1) * _ceil_div(b.mb + hf, d)
-                + (_ceil_div(rm + he, d) if rm else 0)
-            )
-        else:
-            sum_me = spec.m
-            sum_sub_m = sum_sub_m_plain
+        sum_wtk = qk * _ceil_div(kb, d) + (_ceil_div(rk, d) if rk else 0)
+        return qk + (1 if rk else 0), sum_rowb, sum_wtk
 
+    def _n_row(self, spec: GemmSpec, nb: int) -> Tuple[int, int]:
+        """``(nN, sum_wtn)`` for N blocks of *nb*."""
+        d = self.config.array_dim
+        qn, rn = divmod(spec.n, nb)
+        return qn + (1 if rn else 0), qn * _ceil_div(nb, d) + (
+            _ceil_div(rn, d) if rn else 0
+        )
+
+    def _gemm_totals(
+        self,
+        spec: GemmSpec,
+        m_row: Tuple[int, int, int, int],
+        k_row: Tuple[int, int, int],
+        n_row: Tuple[int, int],
+        gs: int,
+    ) -> Tuple[int, int, float, float, float, int, int]:
+        """``(iters, blocks, load_bytes, store_bytes, compute, n_load_req,
+        n_store_req)`` of one blocking, *gs* packed group steps."""
+        cfg = self.config
+        nM, sum_me, sum_sub_m, sum_sub_m_plain = m_row
+        nK, sum_rowb, sum_wtk = k_row
+        nN, sum_wtn = n_row
         iters_inner = nM * nK * nN
-        gs = _ceil_div(spec.repeat, b.pack)
         rep = spec.repeat
         load_bytes = float(
-            nN * sum_me * sum_rowb * rep + nM * spec.k * spec.n * ib * rep
+            nN * sum_me * sum_rowb * rep
+            + nM * spec.k * spec.n * cfg.input_bytes * rep
         )
-        store_bytes = float(spec.m * spec.n * ob * rep)
-        preload = cfg.weight_preload_cycles
+        store_bytes = float(spec.m * spec.n * cfg.output_bytes * rep)
         compute = float(
             rep
             * (
-                sum_wtk * sum_wtn * (nM * preload + spec.m)
-                + iters_inner * d
+                sum_wtk * sum_wtn * (nM * cfg.weight_preload_cycles + spec.m)
+                + iters_inner * cfg.array_dim
             )
         )
-        macs = spec.m * spec.k * spec.n * rep
         # sum_sub_k ≡ sum_wtk: both sum ceil(bk / d) over the k blocks.
         n_load_req = (nN * sum_sub_m * nK + nM * nN * sum_wtk) * gs
         n_store_req = nN * sum_sub_m_plain * gs
+        return (
+            iters_inner * gs, nM * nN * gs, load_bytes, store_bytes, compute,
+            n_load_req, n_store_req,
+        )
+
+    def _pipeline_time(
+        self, totals: Tuple[int, int, float, float, float, int, int]
+    ) -> float:
+        """The analytic layer time the core charges for ``_gemm_totals``."""
+        iters, blocks, load_bytes, store_bytes, compute, n_load_req, \
+            n_store_req = totals
+        bw = self.config.dram_bytes_per_cycle
+        issue = 4.0
+        load = (n_load_req / iters) * issue + load_bytes / iters / bw
+        store_block = (n_store_req / blocks) * issue + store_bytes / blocks / bw
+        compute = compute / iters
+        # max(load, compute) and max(load, compute, store_block), spelled
+        # out: this runs once per blocking candidate.
+        slot = load if load >= compute else compute
+        slot_store = slot if slot >= store_block else store_block
+        return (iters - blocks) * slot + blocks * slot_store + load + store_block
+
+    def _blocking_totals(
+        self, spec: GemmSpec, b: Blocking
+    ) -> Tuple[int, int, float, float, float, int, int]:
+        """``_gemm_totals`` of a chosen blocking."""
+        return self._gemm_totals(
+            spec, self._m_row(spec, b.mb), self._k_row(spec, b.kb),
+            self._n_row(spec, b.nb), _ceil_div(spec.repeat, b.pack),
+        )
+
+    def _aggregate_gemm(self, spec: GemmSpec, b: Blocking) -> dict:
+        """Exact schedule aggregates in O(1), from one row per dimension.
+
+        All summands are ints, so the ``q·f(block) + f(r)`` collapse is
+        exact, and the float fields equal a sequential fold over the
+        layer's iterations bit for bit (``tests/unit/test_isa_compiler.py``
+        holds the per-block list form and the fold as oracles).
+        """
+        iters, blocks, load_bytes, store_bytes, compute, n_load_req, \
+            n_store_req = self._blocking_totals(spec, b)
         return {
-            "iters": iters_inner * gs,
-            "blocks": nM * nN * gs,
+            "iters": iters,
+            "blocks": blocks,
             "load_bytes": load_bytes,
             "store_bytes": store_bytes,
             "compute": compute,
-            "macs": macs,
+            "macs": spec.m * spec.k * spec.n * spec.repeat,
             "n_load_req": n_load_req,
             "n_store_req": n_store_req,
         }
 
     def _estimate_layer_time(self, spec: GemmSpec, b: Blocking) -> float:
         """The analytic layer time the core will charge for this blocking."""
-        agg = self._aggregate_gemm(spec, b)
-        bw = self.config.dram_bytes_per_cycle
-        iters = agg["iters"]
-        blocks = max(agg["blocks"], 1)
-        issue = 4.0
-        load = (agg["n_load_req"] / iters) * issue + agg["load_bytes"] / iters / bw
-        store_block = (
-            (agg["n_store_req"] / blocks) * issue
-            + agg["store_bytes"] / blocks / bw
-        )
-        compute = agg["compute"] / iters
-        slot = max(load, compute)
-        slot_store = max(load, compute, store_block)
-        return (iters - blocks) * slot + blocks * slot_store + load + store_block
+        return self._pipeline_time(self._blocking_totals(spec, b))
 
     # ------------------------------------------------------------------
     # GEMM layer emission
@@ -400,10 +443,7 @@ class TilingCompiler:
         mb, kb, nb, pack = blocking.mb, blocking.kb, blocking.nb, blocking.pack
 
         # Effective row length of the streamed A-operand (im2col-aware).
-        row_eff = max(
-            cfg.input_bytes,
-            (spec.input_bytes_per_pass // max(spec.m, 1)) * cfg.input_bytes,
-        )
+        row_eff = self._row_eff(spec)
         w_base = (
             act_in.base + spec.input_bytes_per_pass * cfg.input_bytes * spec.repeat
             if spec.b_is_activation

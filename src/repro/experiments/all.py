@@ -94,7 +94,7 @@ def run_one(
     written to ``<exp_id>.metrics.json``) covers exactly this experiment.
     """
     spec = REGISTRY.get(exp_id)
-    with telemetry.scoped(trace=False) as scope:
+    with telemetry.scoped(trace=False, profile=False) as scope:
         out = spec.runner(profile)
         snapshot = scope.metrics.snapshot()
     results = list(out) if isinstance(out, tuple) else [out]

@@ -96,7 +96,7 @@ def check(exp_id: str, profile: str, result: Any) -> List[str]:
 
 def evaluate(exp_id: str, profile: str) -> Any:
     """Run *exp_id* once at *profile* under its own telemetry scope."""
-    with telemetry.scoped(trace=False):
+    with telemetry.scoped(trace=False, profile=False):
         if exp_id == "ablations":
             return run_ablations(profile)
         return REGISTRY.get(exp_id).runner(profile)

@@ -214,6 +214,20 @@ EXITS = [
          "experiments fig16 --profile tiny --outdir {tmp}/regular/sub", 2,
          "Not a directory"),
     _row("disasm-negative-limit", "disasm yololite --limit -1", 2, "--limit"),
+    # Unusable input: an SLO spec that cannot be read or names another
+    # scenario (a config error, not a breach).
+    _row("slo-unreadable-spec",
+         "slo nlp-mix --spec {tmp}/bad.json --duration 200", 2,
+         "cannot read SLO spec"),
+    _row("slo-scenario-mismatch",
+         "slo default --spec {root}/specs/nlp-mix.slo.json --duration 200",
+         2, "targets scenario"),
+    # Unusable input: a live diagnosis without its two sides, or of an
+    # unknown target.
+    _row("diagnose-missing-sides", "diagnose mobilenet", 2,
+         "takes two archived run ids"),
+    _row("diagnose-unknown-target", "diagnose nonesuch --a none --b snpu", 2,
+         "unknown diagnose target"),
     # An internal invariant broke.
     _row("slo-reconciliation-error",
          "slo nlp-mix --spec {root}/specs/nlp-mix.slo.json --duration 200",

@@ -106,15 +106,6 @@ class TestLiveMode:
         assert "resnet:none -> resnet:snpu" in out
         assert "fig13 alias" in out
 
-    def test_missing_sides_exit_two(self, capsys):
-        assert main(["diagnose", "mobilenet"]) == 2
-        assert capsys.readouterr().err.strip()
-
-    def test_unknown_target_exits_two(self, capsys):
-        assert main(["diagnose", "nonesuch", "--a", "none",
-                     "--b", "snpu"]) == 2
-        assert "unknown diagnose target" in capsys.readouterr().err
-
 
 class TestBenchMode:
     def test_bench_file_vs_history(self, tmp_path, capsys):

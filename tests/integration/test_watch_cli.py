@@ -106,23 +106,6 @@ class TestSLOCLI:
         assert code == 1, out
         assert "BREACHED" in out
 
-    def test_unreadable_spec_exits_two(self, tmp_path, capsys):
-        spec = tmp_path / "garbage.json"
-        spec.write_text("{not json")
-        assert main([
-            "slo", "nlp-mix", "--spec", str(spec), "--duration", "200",
-        ]) == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_scenario_mismatch_exits_two(self, capsys):
-        # Committed spec pins scenario=nlp-mix; running it against
-        # another scenario is a config error, not a breach.
-        assert main([
-            "slo", "default", "--spec", "specs/nlp-mix.slo.json",
-            "--duration", "200",
-        ]) == 2
-        assert "targets scenario" in capsys.readouterr().err
-
     def test_json_report_format(self, tmp_path):
         path = tmp_path / "slo.json"
         code = main([

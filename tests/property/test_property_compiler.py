@@ -1,12 +1,14 @@
 """Property-based tests on the tiling compiler's invariants."""
 
-from hypothesis import given, settings
+import itertools
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.driver.compiler import TilingCompiler
+from repro.driver.compiler import _BLOCKING_MEMO, Blocking, TilingCompiler
 from repro.npu.config import NPUConfig
 from repro.workloads.model import GemmSpec
-from tests.unit.test_isa_compiler import aggregate_gemm_lists
+from tests.unit.test_isa_compiler import _ceil_div, aggregate_gemm_lists
 
 CFG = NPUConfig.paper_default()
 COMPILER = TilingCompiler(CFG)
@@ -14,12 +16,102 @@ COMPILER = TilingCompiler(CFG)
 
 @st.composite
 def gemm_specs(draw):
+    m = draw(st.integers(1, 2048))
+    k = draw(st.integers(1, 4096))
+    n = draw(st.integers(1, 2048))
+    # 0 keeps GemmSpec's dense default (m*k, k*n); an im2col convolution
+    # streams less raw input than M*K.
     return GemmSpec(
         name="g",
-        m=draw(st.integers(1, 2048)),
-        k=draw(st.integers(1, 4096)),
-        n=draw(st.integers(1, 2048)),
+        m=m,
+        k=k,
+        n=n,
         repeat=draw(st.sampled_from([1, 1, 1, 4, 16])),
+        input_bytes_per_pass=draw(st.just(0) | st.integers(1, m * k)),
+        weight_bytes=draw(st.just(0) | st.integers(1, k * n)),
+        input_halo_bytes=draw(st.just(0) | st.integers(1, 1 << 16)),
+        b_is_activation=draw(st.booleans()),
+    )
+
+
+def brute_force_blocking(spec: GemmSpec, budget: int, acc_budget: int) -> Blocking:
+    """Oracle for ``TilingCompiler._choose_blocking``: every candidate
+    triple, priced from the per-block list aggregates, first strict
+    minimum of ``(pipeline time, traffic)``; the smallest legal tile if
+    none fits."""
+    d, ib = CFG.array_dim, CFG.input_bytes
+    caps = [_ceil_div(x, d) * d if x >= d else x for x in (spec.m, spec.k, spec.n)]
+    m_cap, k_cap, n_cap = caps
+    sizes = TilingCompiler._CANDIDATES
+
+    def pack(mb: int, kb: int) -> int:
+        if spec.repeat == 1:
+            return 1
+        per_group = TilingCompiler._PACK_TARGET_BYTES // (mb * kb * ib)
+        return min(spec.repeat, max(1, per_group))
+
+    best = None
+    for mb, nb, kb in itertools.product(
+        [c for c in sizes if c <= m_cap] or [m_cap],
+        [c for c in sizes if c <= n_cap] or [n_cap],
+        sorted({c for c in sizes if c <= k_cap} | {k_cap}),
+    ):
+        if mb * nb * CFG.acc_elem_bytes * 2 > acc_budget:
+            continue
+        if 2 * ib * (mb + nb) * kb > budget:
+            continue
+        blocking = Blocking(mb, kb, nb, pack(mb, kb))
+        agg = aggregate_gemm_lists(CFG, spec, blocking)
+        bw = CFG.dram_bytes_per_cycle
+        iters, blocks = agg["iters"], agg["blocks"]
+        load = (agg["n_load_req"] / iters) * 4.0 + agg["load_bytes"] / iters / bw
+        store = (agg["n_store_req"] / blocks) * 4.0 + agg["store_bytes"] / blocks / bw
+        compute = agg["compute"] / iters
+        time = (
+            (iters - blocks) * max(load, compute)
+            + blocks * max(load, compute, store)
+            + load + store
+        )
+        traffic = float(spec.repeat * (
+            spec.input_bytes_per_pass * ib * _ceil_div(spec.n, nb)
+            + spec.weight_bytes * ib * _ceil_div(spec.m, mb)
+            + spec.output_bytes * CFG.output_bytes
+        ))
+        if best is None or (time, traffic) < best[0]:
+            best = ((time, traffic), blocking)
+    if best is None:
+        mb, kb, nb = (min(cap, d) for cap in caps)
+        return Blocking(mb, kb, nb, pack(mb, kb))
+    return best[1]
+
+
+@given(
+    gemm_specs(),
+    # Below 4 KiB no 16-wide candidate fits; whole KiB budgets land
+    # exactly on candidate footprints.
+    st.integers(1, 4096)
+    | st.sampled_from([32, 64, 128, 256]).map(lambda kib: kib << 10)
+    | st.integers(4096, 1 << 19),
+    st.integers(1, 2048)
+    | st.sampled_from([8, 16, 32, 64]).map(lambda kib: kib << 10)
+    | st.integers(2048, 1 << 17),
+)
+# The fallback tile: no kb fits the scratchpad, no (mb, nb) the accumulator.
+@example(GemmSpec("g", m=100, k=100, n=100, repeat=4), 1024, 1 << 16)
+@example(GemmSpec("g", m=100, k=100, n=100), 1 << 18, 1024)
+# kb == kb_max wins (googlenet inc3b_1x1 at a 1/8 split).
+@example(GemmSpec("g", m=169, k=256, n=128, input_bytes_per_pass=43264),
+         32 << 10, 8 << 10)
+# Equal times: traffic decides, then the first of equal keys wins.
+@example(GemmSpec("g", m=6, k=2, n=48, repeat=16, input_bytes_per_pass=12,
+                  input_halo_bytes=1627), 256 << 10, 64 << 10)
+@example(GemmSpec("g", m=62, k=62, n=31, repeat=2, input_bytes_per_pass=3844),
+         64 << 10, 16 << 10)
+@settings(max_examples=150, deadline=None)
+def test_search_equals_brute_force(spec, budget, acc_budget):
+    _BLOCKING_MEMO.pop((spec, budget, acc_budget, CFG), None)
+    assert COMPILER._choose_blocking(spec, budget, acc_budget) == (
+        brute_force_blocking(spec, budget, acc_budget)
     )
 
 

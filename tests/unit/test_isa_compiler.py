@@ -238,7 +238,9 @@ class TestBlockingSelection:
         for budget in (32, 256):
             acc = cfg.acc_bytes_total * budget * 1024 // cfg.spad_bytes
             b = compiler._choose_blocking(spec, budget * 1024, acc)
-            traffics.append(compiler._traffic(spec, b))
+            traffics.append(compiler._traffic(
+                spec, _ceil_div(spec.m, b.mb), _ceil_div(spec.n, b.nb)
+            ))
         assert traffics[0] > traffics[1]
 
     def test_tiny_budget_rejected(self, cfg):
