@@ -12,10 +12,14 @@ specs against it.
 
 The **reconciliation invariant** is enforced at close: every per-window
 partial sum (arrivals, completions, SLA hits, latency mass, flush and
-world-switch counts/cycles) must agree *exactly* — Fraction-exact, not
-approximately — with the end-of-run :class:`ServeOutcome` totals.  A
-mismatch raises :class:`~repro.errors.ReconciliationError` and means the
-simulator double-counted or dropped an event, never that floats rounded.
+world-switch counts) must agree *exactly* — not approximately — with the
+end-of-run :class:`ServeOutcome` totals.  A mismatch raises
+:class:`~repro.errors.ReconciliationError` and means the simulator
+double-counted or dropped an event, never that floats rounded.  The
+invariants are held in integers: counts are ints, latency mass is an
+integer count of 2**-1074 units (:func:`~repro.telemetry.windows.exact_sum`),
+and a window's flush cycles are its flush count times the exact
+per-flush cost, so no event builds a Fraction.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from repro.errors import ReconciliationError
 from repro.telemetry.windows import (
     TumblingCounter,
     WindowReservoir,
+    exact_sum,
     fraction_to_jsonable,
-    window_of,
 )
 
 
@@ -47,8 +51,8 @@ class ServeWindows:
         self.window_ms = float(window_ms)
         self.cycles_per_ms = float(cycles_per_ms)
         self.window_cycles = float(window_ms) * float(cycles_per_ms)
-        #: Exact per-event costs: every flush adds exactly this Fraction,
-        #: so ``count x cost`` reconciles bit-for-bit.
+        #: Exact per-event costs: a window's flush cycles are its flush
+        #: count times this Fraction, bit-for-bit.
         self.switch_cost = Fraction(switch_cost)
         self.world_cost = Fraction(world_cost)
         self.tenant_names = sorted(tenant_names)
@@ -74,7 +78,6 @@ class ServeWindows:
             for t in self.tenant_names
         }
         self.flushes = TumblingCounter("serve.flushes", w)
-        self.flush_cycles = TumblingCounter("serve.flush_cycles", w)
         self.world_switches = TumblingCounter("serve.world_switches", w)
         self.closed_at: Optional[float] = None
 
@@ -91,7 +94,6 @@ class ServeWindows:
 
     def on_flush(self, cycle: float) -> None:
         self.flushes.add(cycle)
-        self.flush_cycles.add(cycle, self.switch_cost)
 
     def on_world_switch(self, cycle: float) -> None:
         self.world_switches.add(cycle)
@@ -122,7 +124,7 @@ class ServeWindows:
         return max(populated)
 
     def _all_counters(self) -> List[TumblingCounter]:
-        out = [self.flushes, self.flush_cycles, self.world_switches]
+        out = [self.flushes, self.world_switches]
         for per_tenant in (self.arrivals, self.completions, self.sla_ok,
                            self.denies):
             out.extend(per_tenant.values())
@@ -132,31 +134,28 @@ class ServeWindows:
     def reconcile(self, outcome) -> None:
         """Enforce the streaming invariant against end-of-run totals.
 
-        Counts are compared as exact integers; flush *cycles* are
-        compared as ``count x Fraction(switch_cost)`` — the float
-        accumulator in the outcome rounds, the windows never do.
+        Counts are compared as exact integers and latency mass as an
+        exact sum.  Flush *cycles* need no check of their own: each
+        window's is its flush count times ``Fraction(switch_cost)``, so
+        they sum to ``outcome.flushes x cost`` once the counts reconcile
+        (the float accumulator in the outcome rounds, the windows never
+        do).
         """
-        by_tenant_completed: Dict[str, int] = {t: 0 for t in self.tenant_names}
         by_tenant_ok: Dict[str, int] = {t: 0 for t in self.tenant_names}
-        latency_sum: Dict[str, Fraction] = {
-            t: Fraction(0) for t in self.tenant_names
-        }
+        latencies: Dict[str, List[float]] = {t: [] for t in self.tenant_names}
         for comp in outcome.completed:
             tenant = comp.request.tenant
-            by_tenant_completed[tenant] += 1
             if comp.sla_ok:
                 by_tenant_ok[tenant] += 1
-            latency_sum[tenant] += Fraction(comp.latency)
+            latencies[tenant].append(comp.latency)
         for tenant in self.tenant_names:
-            self.completions[tenant].reconcile(by_tenant_completed[tenant])
+            completed = len(latencies[tenant])
+            self.completions[tenant].reconcile(completed)
             self.sla_ok[tenant].reconcile(by_tenant_ok[tenant])
             self.latency[tenant].reconcile(
-                by_tenant_completed[tenant], latency_sum[tenant]
+                completed, exact_sum(latencies[tenant])
             )
         self.flushes.reconcile(outcome.flushes)
-        self.flush_cycles.reconcile(
-            Fraction(outcome.flushes) * self.switch_cost
-        )
         self.world_switches.reconcile(outcome.world_switches)
         total_arrivals = sum(
             int(c.total) for c in self.arrivals.values()
@@ -198,7 +197,7 @@ class ServeWindows:
             "end_cycle": (window + 1) * self.window_cycles,
             "flushes": int(self.flushes.bucket(window)),
             "flush_cycles": fraction_to_jsonable(
-                self.flush_cycles.bucket(window)
+                self.flushes.bucket(window) * self.switch_cost
             ),
             "world_switches": int(self.world_switches.bucket(window)),
             "tenants": tenants,

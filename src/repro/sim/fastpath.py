@@ -34,9 +34,11 @@ Design rules that make the equivalence hold exactly:
   whose :class:`FastRun` needs a layer folds it into a
   :class:`LayerFold`; every core then proves and replays that fold
   against its own controller, and the sweep drops it before the next
-  layer.  Nothing is cached on layer objects, across sweeps or in module
-  globals, so peak memory is one layer's fold and no cache can go stale
-  (``run_detailed`` is the one-core sweep).
+  layer.  Paging cores that share a flat :class:`PageTable` with equal
+  ``enforce_world`` and effective worlds share one precheck proof, kept
+  on the fold.  Nothing is cached on layer objects, across sweeps or in
+  module globals, so peak memory is one layer's fold and no cache can go
+  stale (``run_detailed`` is the one-core sweep).
 
 Every detailed run tries the fast path; the event simulator is the
 fallback and the reference.  :func:`forced` pins the event path for
@@ -209,12 +211,14 @@ class LayerFold:
     ``fold_error`` fallback, but the layer is not folded again.
     """
 
-    __slots__ = ("layer", "_fold", "_failed")
+    __slots__ = ("layer", "_fold", "_failed", "_proofs")
 
     def __init__(self, layer) -> None:
         self.layer = layer
         self._fold: Optional[_Fold] = None
         self._failed = False
+        #: ``(page table, enforce_world, eff_worlds) -> pte map or None``.
+        self._proofs: Dict[tuple, Optional[dict]] = {}
 
     def get(self) -> Optional[_Fold]:
         """The layer's fold, or None when folding it raised."""
@@ -224,6 +228,22 @@ class LayerFold:
             except Exception:
                 self._failed = True
         return self._fold
+
+    def paging_proof(self, ctrl: IOMMU, eff_worlds) -> Optional[dict]:
+        """:func:`_paging_provable` for *ctrl* against this fold.
+
+        The proof reads only the page table, ``enforce_world``, the
+        effective worlds and the fold, so cores whose flat
+        :class:`PageTable` is the same object share one.  Only the exact
+        type is shared: a subclass may override ``lookup()``.
+        """
+        table = ctrl.page_table
+        if type(table) is not PageTable:
+            return _paging_provable(ctrl, self._fold, eff_worlds)
+        key = (table, ctrl.enforce_world, eff_worlds)
+        if key not in self._proofs:
+            self._proofs[key] = _paging_provable(ctrl, self._fold, eff_worlds)
+        return self._proofs[key]
 
 
 # ----------------------------------------------------------------------
@@ -645,7 +665,7 @@ class FastRun:
             eff_worlds = (ctrl.device_world,)
         else:
             eff_worlds = tuple(fold.worlds)
-        pte_map = _paging_provable(ctrl, fold, eff_worlds)
+        pte_map = shared.paging_proof(ctrl, eff_worlds)
         if pte_map is None:
             _fallback("iommu_unprovable")
             return None

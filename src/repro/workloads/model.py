@@ -291,14 +291,25 @@ class ModelGraph:
 
     @property
     def cache_key(self) -> str:
-        """Content-based identity (two graphs with equal names may differ)."""
+        """Content-based identity (two graphs with equal names may differ).
+
+        Hashed once per ``(name, layers)`` snapshot (frozen specs compare
+        by identity); a changed snapshot hashes again.  The memo is not a
+        field, so ``==``, ``repr`` and ``asdict`` never see it.
+        """
         import hashlib
 
+        snapshot = (self.name, tuple(self.layers))
+        memo = self.__dict__.get("_cache_key_memo")
+        if memo is not None and memo[0] == snapshot:
+            return memo[1]
         digest = hashlib.sha1()
         digest.update(self.name.encode())
         for kernel in self.lower():
             digest.update(repr(kernel).encode())
-        return digest.hexdigest()
+        key = digest.hexdigest()
+        self._cache_key_memo = (snapshot, key)
+        return key
 
     def summary(self) -> str:
         kernels = self.lower()

@@ -10,12 +10,14 @@
   ends in a traceback.
 
 In a command, ``{tmp}`` is the test's temporary directory and ``{root}``
-the repository root.
+the repository root; commands split like a shell line, so a quoted
+argument may hold spaces.
 """
 
 from __future__ import annotations
 
 import json
+import shlex
 from pathlib import Path
 from unittest import mock
 
@@ -71,7 +73,7 @@ DETERMINISM = {
 
 
 def _argv(command: str, tmp: Path):
-    return command.format(tmp=tmp, root=ROOT).split()
+    return shlex.split(command.format(tmp=tmp, root=ROOT))
 
 
 def _run(argv, capsys):
@@ -228,6 +230,14 @@ EXITS = [
          "takes two archived run ids"),
     _row("diagnose-unknown-target", "diagnose nonesuch --a none --b snpu", 2,
          "unknown diagnose target"),
+    # Unusable input: no run archive yet, or SQL the archive refuses.
+    _row("report-without-store", "report -o {tmp}/r.html", 2,
+         "no run archive"),
+    _row("query-without-store", "query runs", 2, "no run archive"),
+    _row("query-bad-sql", 'query "SELEC nonsense"', 2, "bad SQL",
+         before="stats alexnet --input-size 32"),
+    _row("query-write-sql-rejected", 'query "DROP TABLE runs"', 2,
+         "bad SQL", before="stats alexnet --input-size 32"),
     # An internal invariant broke.
     _row("slo-reconciliation-error",
          "slo nlp-mix --spec {root}/specs/nlp-mix.slo.json --duration 200",

@@ -3,18 +3,25 @@
 Two invariants back the whole observability layer:
 
 * **Reconciliation** — per-window partial sums equal the end-of-run
-  total, exactly (:class:`fractions.Fraction`, not float), for any
-  event stream.
+  total, exactly (ints and :class:`fractions.Fraction`, never float),
+  for any event stream.
 * **Feed-independence** — bucket maps do not depend on feed order or on
   how the stream was chunked across workers (``--jobs`` must not move a
   window boundary).
+
+``window_of`` itself is checked against its exact-rational definition,
+``floor(Fraction(cycle) / Fraction(window_cycles))``, on boundaries,
+their neighbouring floats and the values that must raise.
 """
 
+import math
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigError
 from repro.telemetry.windows import (
     TumblingCounter,
     WindowReservoir,
@@ -141,3 +148,54 @@ def test_reservoir_counts_and_sums_reconcile(stream, window_cycles):
         replay.observe(cycle, value)
     assert {w: h.samples for w, h in reservoir._hists.items()} == \
         {w: h.samples for w, h in replay._hists.items()}
+
+
+def _fraction_window(cycle, window_cycles):
+    """The exact-rational definition ``window_of`` must equal."""
+    if window_cycles <= 0:
+        raise ConfigError("window_cycles must be positive")
+    return math.floor(Fraction(cycle) / Fraction(window_cycles))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+any_cycle = st.one_of(st.integers(-10**30, 10**30), finite, st.fractions())
+positive_window = st.one_of(
+    st.integers(1, 10**30),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.fractions(min_value=0).filter(lambda f: f > 0),
+)
+
+
+@given(any_cycle, positive_window)
+@settings(max_examples=500, deadline=None)
+# Exact k*W boundaries (the boundary opens window k) ...
+@example(300.0, 100.0)
+@example(3 * Fraction(0.1), 0.1)
+@example(Fraction(7, 3), Fraction(7, 9))
+@example(-200, 100.0)
+@example(2.0 ** -1074 * 3, 2.0 ** -1074)
+# ... and the floats on either side of them.
+@example(math.nextafter(300.0, 0.0), 100.0)
+@example(math.nextafter(300.0, math.inf), 100.0)
+@example(0.3, 0.1)
+@example(0.30000000000000004, 0.1)
+@example(math.nextafter(-200.0, 0.0), 100)
+@example(math.nextafter(-200.0, -math.inf), 100)
+def test_window_of_equals_the_fraction_floor(cycle, window_cycles):
+    assert window_of(cycle, window_cycles) == _fraction_window(
+        cycle, window_cycles)
+
+
+@pytest.mark.parametrize("window_cycles", [100.0, math.nan, math.inf,
+                                           -math.inf, 0.0])
+@pytest.mark.parametrize("cycle", [1.0, math.nan, math.inf, -math.inf])
+def test_window_of_raises_what_the_fraction_floor_raises(cycle,
+                                                         window_cycles):
+    try:
+        expected = _fraction_window(cycle, window_cycles)
+    except Exception as exc:  # noqa: BLE001 - the type is the contract
+        with pytest.raises(Exception) as raised:
+            window_of(cycle, window_cycles)
+        assert type(raised.value) is type(exc)
+    else:
+        assert window_of(cycle, window_cycles) == expected

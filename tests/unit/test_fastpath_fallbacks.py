@@ -9,7 +9,8 @@ and unknown controller subclasses.  The fast path keeps no state across
 ``run_detailed`` calls: a repeated run equals the event run, a later
 run re-proves the controller it is given, and no layer object gains an
 attribute.  A sweep (``run_sweep``) folds each layer once for all its
-cores and drops the fold before the next layer.
+cores, proves a page table its paging cores share once per layer, and
+drops the fold before the next layer.
 """
 
 from __future__ import annotations
@@ -425,3 +426,78 @@ def test_sweep_rejects_a_shared_controller(config, compiler):
     with pytest.raises(ConfigError, match="one controller per core"):
         run_sweep([NPUCore(config, ctrl, dram), NPUCore(config, ctrl, dram)],
                   program)
+
+
+# ----------------------------------------------------------------------
+# Sweeps: one paging proof per shared page table, kept on the fold
+# ----------------------------------------------------------------------
+def _counting_proofs(monkeypatch):
+    proofs = []
+    real = fastpath._paging_provable
+
+    def counting(ctrl, fold, eff_worlds):
+        proofs.append(ctrl)
+        return real(ctrl, fold, eff_worlds)
+
+    monkeypatch.setattr(fastpath, "_paging_provable", counting)
+    return proofs
+
+
+def test_shared_table_is_proved_once_per_layer(config, compiler,
+                                               monkeypatch):
+    """Four IOMMUs over one page table prove each layer once, still
+    count their own fast layers, and end as four one-core runs do."""
+    from repro.mmu.iommu import IOMMU
+
+    program = compiler.compile(synthetic_cnn())
+    dram = DRAMModel(config.dram_bytes_per_cycle)
+    proofs = _counting_proofs(monkeypatch)
+
+    def cores():
+        table = _identity_table(program)
+        return [NPUCore(config, IOMMU(table, iotlb_entries=n), dram)
+                for n in (4, 8, 16, 32)]
+
+    with telemetry.scoped(trace=False) as scope:
+        swept = run_sweep(cores(), program)
+        counters = _counters(scope.metrics.snapshot())
+    assert len(proofs) == len(program.layers)
+    assert counters == {"fast_layers": 4 * len(program.layers)}
+    with telemetry.scoped(trace=False):
+        single = [core.run_detailed(program) for core in cores()]
+    assert [r.cycles for r in swept] == [r.cycles for r in single]
+    assert ([r.check_stats for r in swept]
+            == [r.check_stats for r in single])
+
+
+@pytest.mark.parametrize("split", ["tables", "enforce_world", "subclass"])
+def test_distinct_proof_inputs_are_proved_per_core(config, compiler,
+                                                   monkeypatch, split):
+    """Cores with distinct page tables, one table under a different
+    ``enforce_world``, or one table of a ``PageTable`` subclass (whose
+    ``lookup`` may differ) each prove every layer themselves."""
+    from repro.memory.pagetable import PageTable
+    from repro.mmu.iommu import IOMMU
+
+    class SubTable(PageTable):
+        pass
+
+    program = compiler.compile(synthetic_cnn())
+    dram = DRAMModel(config.dram_bytes_per_cycle)
+    table = _identity_table(program)
+    if split == "tables":
+        ctrls = [IOMMU(_identity_table(program), iotlb_entries=16)
+                 for _ in range(4)]
+    elif split == "enforce_world":
+        ctrls = [IOMMU(table, iotlb_entries=16, enforce_world=enforce)
+                 for enforce in (True, False)]
+    else:
+        sub = SubTable()
+        sub._entries = table._entries
+        ctrls = [IOMMU(sub, iotlb_entries=n) for n in (4, 32)]
+    proofs = _counting_proofs(monkeypatch)
+    with telemetry.scoped(trace=False) as scope:
+        run_sweep([NPUCore(config, ctrl, dram) for ctrl in ctrls], program)
+        counters = _counters(scope.metrics.snapshot())
+    assert len(proofs) == len(ctrls) * len(program.layers)
+    assert counters == {"fast_layers": len(ctrls) * len(program.layers)}

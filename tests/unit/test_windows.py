@@ -44,6 +44,9 @@ class TestTumblingCounter:
         assert c.bucket(7) == 0
         assert c.total == 7
         assert c.last_window() == 1
+        # Integer amounts keep integer buckets and totals.
+        assert all(type(v) is int for v in c.buckets.values())
+        assert type(c.total) is int
 
     def test_buckets_are_fraction_exact(self):
         c = TumblingCounter("x", 1.0)
@@ -89,6 +92,28 @@ class TestTumblingCounter:
     def test_rejects_nonpositive_window(self):
         with pytest.raises(ConfigError):
             TumblingCounter("x", 0.0)
+
+    def test_mixed_int_and_fraction_amounts_reconcile_exactly(self):
+        amounts = [1, Fraction(1, 3), 0.1, 2, 0.1, Fraction(2, 3), 0.1, 5]
+        c = TumblingCounter("x", 10.0)
+        for i, amount in enumerate(amounts):
+            c.add(float(i % 2) * 10.0, amount)
+        exact = [Fraction(a) for a in amounts]
+        assert c.bucket(0) == sum(exact[0::2])
+        assert c.bucket(1) == sum(exact[1::2])
+        assert c.total == sum(exact)
+        c.reconcile(sum(exact))
+        with pytest.raises(ReconciliationError):
+            # Three float adds of 0.1 round; the windows must not.
+            c.reconcile(sum(Fraction(a) for a in amounts if a != 0.1)
+                        + Fraction(0.1 + 0.1 + 0.1))
+        # Ingesting a mixed map keeps the same exact sums.
+        merged = TumblingCounter("x", 10.0)
+        merged.ingest({0: 3, 1: Fraction(1, 3)})
+        merged.ingest(c.buckets)
+        assert merged.bucket(0) == 3 + sum(exact[0::2])
+        assert merged.total == 3 + Fraction(1, 3) + sum(exact)
+        merged.reconcile(3 + Fraction(1, 3) + sum(exact))
 
 
 class TestSlidingSum:
@@ -153,6 +178,18 @@ class TestWindowReservoir:
         # (epoch-seeded), even though they saw value streams of equal
         # length — seed differs per (name, window).
         assert a._hists[0].epoch != a._hists[1].epoch
+
+    def test_value_mass_is_exact(self):
+        r = WindowReservoir("lat", 10.0)
+        values = [0.1, 0.2, 0.30000000000000004, 5e-324, 1e300]
+        for value in values:
+            r.observe(0.0, value)
+        exact = sum(Fraction(v) for v in values)
+        assert r.window_sum(0) == r.total_sum == exact
+        assert r.mean(0) == float(exact / len(values))
+        r.reconcile(len(values), exact)
+        with pytest.raises(ReconciliationError):
+            r.reconcile(len(values), sum(values))
 
     def test_reconcile_raises_on_mismatch(self):
         r = WindowReservoir("lat", 10.0)

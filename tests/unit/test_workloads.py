@@ -1,5 +1,9 @@
 """Unit tests for the workload zoo and layer lowering."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import ConfigError
@@ -10,6 +14,7 @@ from repro.workloads.model import (
     DenseSpec,
     EltwiseSpec,
     GemmSpec,
+    ModelGraph,
     PoolSpec,
     VectorSpec,
 )
@@ -152,3 +157,74 @@ class TestZoo:
     def test_summary_is_readable(self):
         text = zoo.yololite(112).summary()
         assert "yololite" in text and "GEMM" in text
+
+
+class TestCacheKeyMemo:
+    """``cache_key`` is hashed once per content and re-hashed whenever
+    the ``(name, layers)`` content changes, on any copy of the graph."""
+
+    @staticmethod
+    def _graph(name="g"):
+        return ModelGraph(name, [
+            DenseSpec("fc1", 64, 32),
+            EltwiseSpec("act", 32),
+            DenseSpec("fc2", 32, 10),
+        ])
+
+    @staticmethod
+    def _fresh_key(graph):
+        """The key a freshly built graph with this content has."""
+        return ModelGraph(graph.name, list(graph.layers)).cache_key
+
+    def test_add_rehashes(self):
+        g = self._graph()
+        before = g.cache_key
+        g.add(DenseSpec("fc3", 10, 4))
+        assert g.cache_key != before
+        assert g.cache_key == self._fresh_key(g)
+
+    def test_replaced_layer_rehashes(self):
+        g = self._graph()
+        before = g.cache_key
+        g.layers[1] = EltwiseSpec("act", 32, operands=1)
+        assert g.cache_key != before
+        assert g.cache_key == self._fresh_key(g)
+
+    def test_rename_rehashes(self):
+        g = self._graph()
+        before = g.cache_key
+        g.name = "renamed"
+        assert g.cache_key != before
+        assert g.cache_key == self._fresh_key(g)
+
+    def test_shallow_copy_then_append(self):
+        g = self._graph()
+        before = g.cache_key
+        c = copy.copy(g)
+        c.add(DenseSpec("fc3", 10, 4))
+        # The copy shares the layer list, so both graphs changed.
+        assert c.cache_key == self._fresh_key(c) != before
+        assert g.cache_key == self._fresh_key(g)
+
+    def test_pickle_round_trip(self):
+        g = self._graph()
+        g.cache_key
+        h = pickle.loads(pickle.dumps(g))
+        assert h.cache_key == g.cache_key == self._fresh_key(h)
+        h.add(DenseSpec("fc3", 10, 4))
+        assert h.cache_key == self._fresh_key(h) != g.cache_key
+
+    def test_equal_content_shares_a_key(self):
+        a, b = self._graph(), self._graph()
+        assert a.cache_key == b.cache_key
+        a.add(DenseSpec("fc3", 10, 4))
+        c = self._graph()
+        c.add(DenseSpec("fc3", 10, 4))
+        assert a.cache_key == c.cache_key != b.cache_key
+
+    def test_memo_is_not_a_field(self):
+        g = self._graph()
+        before = (repr(g), dataclasses.asdict(g))
+        g.cache_key
+        assert (repr(g), dataclasses.asdict(g)) == before
+        assert g == self._graph()
