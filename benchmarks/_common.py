@@ -1,12 +1,11 @@
-"""Shared BENCH_*.json writer for the ``benchmarks/`` scripts.
+"""The BENCH results writer behind ``benchmarks/suite/run.py --out``.
 
-One writer instead of four hand-rolled copies: every benchmark payload
-gets the same stamps (``bench_id``, ``timestamp``, ``cpu_count``, and —
-new — the NPUConfig/source digests the experiment cache already
-computes, so a BENCH file pins exactly which simulator produced it),
-the same serialization (sorted keys, trailing newline), and is archived
-into the persistent run store (:mod:`repro.store`) so ``repro bench
-diff --history N``, ``repro history`` and the ``repro report``
+Every payload gets the same stamps (``bench_id``, ``timestamp``,
+``cpu_count``, and the NPUConfig/source digests the experiment cache
+already computes, so a BENCH file pins exactly which simulator produced
+it), the same serialization (sorted keys, trailing newline), and is
+archived into the persistent run store (:mod:`repro.store`) so ``repro
+bench diff --history N``, ``repro history`` and the ``repro report``
 sparklines can gate against the trajectory, not just one committed
 baseline.
 
@@ -37,8 +36,9 @@ def write_bench(
     """Stamp, write and archive one benchmark payload.
 
     *payload* carries the benchmark's own fields (``benchmark`` title,
-    parameters, and either the two-section ``metrics`` block or a legacy
-    flat schema).  Returns the path written.
+    parameters, and the two-section ``metrics`` block that
+    :func:`repro.telemetry.regression.metric_sections` reads).  Returns
+    the path written.
     """
     stamped = dict(payload)
     stamped["bench_id"] = bench_id

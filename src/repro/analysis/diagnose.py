@@ -868,12 +868,14 @@ def diagnose_bench(
     :class:`~repro.telemetry.regression.BenchComparison` to carry the
     gate's per-metric verdicts along as notes.
     """
-    from repro.telemetry.regression import median_baseline
+    from repro.telemetry.regression import (
+        SECTIONS, median_baseline, metric_sections,
+    )
 
     # median_baseline returns a full BENCH-shaped payload ({"metrics":
-    # {...}}); normalise both sides through the same section parser.
-    baseline = _bench_sections(median_baseline(histories))
-    fresh = _bench_sections(payload)
+    # {...}}); read both sides through the one section parser.
+    baseline = metric_sections(median_baseline(histories))
+    fresh = metric_sections(payload)
     parts: List[DiagnosisPart] = []
     notes = [
         "bench parts mix units (counts + seconds); rank and per-metric "
@@ -885,9 +887,9 @@ def diagnose_bench(
             notes.append(f"gate: {delta.describe()}")
         for name in comparison.missing:
             notes.append(f"gate: {name} MISSING from the new run")
-    for kind in ("deterministic", "timing"):
-        base_metrics = baseline.get(kind, {})
-        new_metrics = fresh.get(kind, {})
+    for kind in SECTIONS:
+        base_metrics = baseline[kind]
+        new_metrics = fresh[kind]
         for name in sorted(set(base_metrics) | set(new_metrics)):
             if name in base_metrics and name in new_metrics:
                 parts.append(DiagnosisPart(
@@ -912,28 +914,3 @@ def diagnose_bench(
         notes=notes,
     ).verify()
 
-
-def _bench_sections(
-    payload: Dict[str, Any]
-) -> Dict[str, Dict[str, float]]:
-    metrics = payload.get("metrics")
-    if isinstance(metrics, dict) and (
-        "deterministic" in metrics or "timing" in metrics
-    ):
-        return {
-            kind: {
-                name: float(value)
-                for name, value in (metrics.get(kind) or {}).items()
-                if isinstance(value, (int, float))
-                and not isinstance(value, bool)
-            }
-            for kind in ("deterministic", "timing")
-        }
-    return {
-        "deterministic": {},
-        "timing": {
-            name: float(value)
-            for name, value in payload.items()
-            if isinstance(value, (int, float)) and not isinstance(value, bool)
-        },
-    }

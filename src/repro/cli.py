@@ -16,8 +16,8 @@
     python -m repro slo nlp-mix --spec specs/nlp-mix.slo.json  # exit 1 on breach
     python -m repro profile resnet --protection snpu --diff baseline
     python -m repro profile resnet --host  # cProfile the simulator itself
-    python -m repro bench diff BENCH_profile.json new.json
-    python -m repro bench diff BENCH_profile.json --history 3
+    python -m repro bench diff benchmarks/suite/BASELINE.json new.json
+    python -m repro bench diff new.json --history 3   # vs archived runs
     python -m repro query p99-by-tenant    # canned query over the archive
     python -m repro history serve.completed --last 10
     python -m repro report -o dashboard.html   # byte-deterministic HTML
@@ -783,14 +783,13 @@ def _emit(payload: str, out: Optional[str]) -> None:
 
 
 def _bench_id_of(path: str, payload: dict) -> str:
-    """The archive's bench_id for one BENCH file: the stamped field when
-    present (benchmarks/_common.py writes it), else the filename stem
-    (``BENCH_profile.json`` -> ``profile``)."""
-    stamped = payload.get("bench_id")
-    if stamped:
-        return str(stamped)
-    stem = os.path.splitext(os.path.basename(path))[0]
-    return stem[len("BENCH_"):] if stem.startswith("BENCH_") else stem
+    """The archive's bench_id for one BENCH file: the field
+    ``benchmarks/_common.write_bench`` stamps into every file."""
+    bench_id = payload.get("bench_id")
+    if not bench_id:
+        raise ConfigError(f"bench file {path!r} has no \"bench_id\" field "
+                          f"to find its archived runs by")
+    return str(bench_id)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -812,13 +811,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if len(files) == 1 and not args.history:
         raise ConfigError(
             "bench diff needs two files, or one file with --history N")
+    if args.history:
+        new_path = files[-1]
+        payload = load_bench(new_path)
+        bench_id = _bench_id_of(new_path, payload)
 
     ok = True
     if len(files) == 2:
         comparison = compare_bench_files(
-            files[0], files[1],
-            timing_tolerance=args.timing_tolerance,
-            deterministic_tolerance=args.deterministic_tolerance,
+            files[0], files[1], timing_tolerance=args.timing_tolerance,
         )
         print(f"bench diff: {files[0]} -> {files[1]}")
         print(comparison.format_table(), end="")
@@ -827,20 +828,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.history:
         from repro.store import RunStore
 
-        new_path = files[-1]
-        payload = load_bench(new_path)
-        bench_id = args.bench_id or _bench_id_of(new_path, payload)
         histories = RunStore(args.store).bench_history(
             bench_id, last=args.history
         )
         if not histories:
             raise ConfigError(
                 f"no archived runs of benchmark {bench_id!r} to gate "
-                f"against (run benchmarks/bench_{bench_id}.py first)")
+                f"against (benchmarks/suite/run.py --out archives one)")
         comparison = compare_bench_history(
-            histories, payload,
-            timing_tolerance=args.timing_tolerance,
-            deterministic_tolerance=args.deterministic_tolerance,
+            histories, payload, timing_tolerance=args.timing_tolerance,
         )
         print(f"bench history gate: median of last {len(histories)} "
               f"archived {bench_id!r} run(s) -> {new_path}")
@@ -904,14 +900,14 @@ def _diagnose_bench_file(args: argparse.Namespace, path: str):
     if not args.history:
         raise ConfigError("diagnosing a bench file needs --history N")
     payload = load_bench(path)
-    bench_id = args.bench_id or _bench_id_of(path, payload)
+    bench_id = _bench_id_of(path, payload)
     histories = RunStore(args.store).bench_history(
         bench_id, last=args.history
     )
     if not histories:
         raise ConfigError(
             f"no archived runs of benchmark {bench_id!r} to diagnose "
-            f"against (run benchmarks/bench_{bench_id}.py first)")
+            f"against (benchmarks/suite/run.py --out archives one)")
     return diagnose_bench(histories, payload, bench_id)
 
 
@@ -1278,18 +1274,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="relative tolerance for host-timing metrics (default 0.25)",
     )
     p_bdiff.add_argument(
-        "--deterministic-tolerance", type=float, default=0.0, metavar="FRAC",
-        help="tolerance for simulated-cycle metrics (default 0: bit-exact)",
-    )
-    p_bdiff.add_argument(
         "--history", type=int, default=0, metavar="N",
         help="also gate the fresh file against the median of the last N "
              "archived runs of the same benchmark",
-    )
-    p_bdiff.add_argument(
-        "--bench-id", default=None, metavar="ID",
-        help="archive benchmark id (default: the file's bench_id field "
-             "or its BENCH_<id>.json stem)",
     )
     p_bdiff.set_defaults(func=_cmd_bench)
 
@@ -1317,11 +1304,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--history", type=int, default=0, metavar="N",
         help="bench mode: diagnose against the median of the last N "
              "archived runs of the same benchmark",
-    )
-    p_diag.add_argument(
-        "--bench-id", default=None, metavar="ID",
-        help="archive benchmark id (default: the file's bench_id field "
-             "or its BENCH_<id>.json stem)",
     )
     p_diag.add_argument(
         "--analytic", action="store_true",

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro import telemetry
 from repro.experiments import fig01, fig13, fig14, fig15, fig16, fig17, fig18
@@ -76,13 +76,6 @@ REGISTRY.register("access-paths", _access_paths, cost=3.0, in_all=False,
                   description="access-path microbenchmarks")
 REGISTRY.register("watch", watch.run, cost=1.0,
                   description="live observability window timeline")
-
-#: Backwards-compatible ``id -> callable(profile)`` view of the registry
-#: (everything that ``repro all`` runs).
-EXPERIMENTS: Dict[str, Callable] = {
-    spec.exp_id: spec.runner for spec in REGISTRY if spec.in_all
-}
-
 
 def run_one(
     exp_id: str, profile: str = "eval", outdir: Optional[str] = None

@@ -1,6 +1,6 @@
 """Per-verb :class:`RunRecord` builders.
 
-Each CLI verb (and the experiments runner / benchmark scripts) calls one
+Each CLI verb (and the experiments runner / benchmark suite) calls one
 builder here with the objects it already produced, then hands the record
 to :func:`repro.store.ingest_quietly`.  Builders only *read* report
 objects — they never re-run anything — and they normalise every value
@@ -408,29 +408,22 @@ def record_from_experiment(
 
 
 def record_from_bench(payload: Dict[str, Any], bench_id: str) -> RunRecord:
-    """One BENCH_*.json payload (called by ``benchmarks/_common.py``).
+    """One BENCH payload (called by ``benchmarks/_common.py``).
 
     Host wall-clock numbers *do* land in the child rows (they are the
     trend the sparklines and ``--history`` gates track) — but only in
     child rows of a run whose identity is content-derived, so archiving
     them never perturbs another run's bytes.
     """
-    bench_rows: List[Dict[str, Any]] = []
-    metrics = payload.get("metrics")
-    if isinstance(metrics, dict) and (
-        "deterministic" in metrics or "timing" in metrics
-    ):
-        for kind in ("deterministic", "timing"):
-            for name, value in (metrics.get(kind) or {}).items():
-                bench_rows.append(
-                    {"name": name, "kind": kind, "value": value}
-                )
-    else:
-        for name, value in payload.items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                bench_rows.append(
-                    {"name": name, "kind": "timing", "value": value}
-                )
+    # Imported here: every verb loads this module, only bench payloads
+    # need the parser (and the statistics module it pulls in).
+    from repro.telemetry.regression import metric_sections
+
+    bench_rows = [
+        {"name": name, "kind": kind, "value": value}
+        for kind, section in metric_sections(payload).items()
+        for name, value in section.items()
+    ]
     return RunRecord(
         verb="bench",
         experiment=bench_id,

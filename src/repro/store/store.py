@@ -3,10 +3,11 @@
 Every entry point — the experiments runner (including ``--jobs`` pool
 workers, whose payloads the parent ingests), ``repro run``, ``repro
 serve``, ``repro watch``, ``repro slo``, ``repro attacks``, ``repro
-audit``, ``repro profile``, ``repro flows`` and the ``benchmarks/``
-scripts — archives one :class:`RunRecord` per run into a single sqlite
-file, so questions can finally be asked *across* runs (``repro query`` /
-``repro history`` / ``repro report`` / ``repro bench diff --history``).
+audit``, ``repro profile``, ``repro flows`` and the benchmark suite's
+``--out`` results file — archives one :class:`RunRecord` per run into a
+single sqlite file, so questions can finally be asked *across* runs
+(``repro query`` / ``repro history`` / ``repro report`` / ``repro bench
+diff --history``).
 
 Determinism contract
 --------------------

@@ -88,19 +88,16 @@ class Histogram:
 
     **Epochs.**  Streaming consumers (the sliding-window aggregators in
     :mod:`repro.telemetry.windows`) must never let one window's
-    percentiles see another window's samples.  :meth:`begin_epoch` opens
-    a fresh reservoir for the new epoch — samples and the reservoir's
-    observation counter clear, the RNG reseeds deterministically from
-    ``(name, epoch)`` — while the cumulative aggregates (count / sum /
-    min / max) keep accumulating across the whole run.  Epoch 0 seeds
-    exactly like the historical name-only seed, so runs that never call
-    :meth:`begin_epoch` retain byte-identical samples.
+    percentiles see another window's samples, so they build one
+    histogram per window with *epoch* set to the window index: its
+    reservoir RNG seeds deterministically from ``(name, epoch)``.  Epoch
+    0 (the default) seeds exactly like the historical name-only seed.
     """
 
     __slots__ = ("name", "count", "total", "min", "max", "samples",
                  "max_samples", "epoch", "_epoch_count", "_rng")
 
-    def __init__(self, name: str, max_samples: int = 1024):
+    def __init__(self, name: str, max_samples: int = 1024, epoch: int = 0):
         self.name = name
         self.max_samples = max_samples
         self.count = 0
@@ -109,11 +106,11 @@ class Histogram:
         self.max: Optional[float] = None
         #: Retained raw samples as ``(cycle, value)`` pairs (current epoch).
         self.samples: List[Tuple[float, float]] = []
-        #: Current reservoir epoch (0 = the whole-run default).
-        self.epoch = 0
+        #: Reservoir epoch (0 = the whole-run default).
+        self.epoch = int(epoch)
         #: Observations within the current epoch (drives Algorithm R).
         self._epoch_count = 0
-        self._rng = random.Random(self._seed_for(0))
+        self._rng = random.Random(self._seed_for(self.epoch))
 
     def _seed_for(self, epoch: int) -> int:
         """Deterministic per-(name, epoch) seed; epoch 0 matches the
@@ -121,14 +118,6 @@ class Histogram:
         if epoch == 0:
             return zlib.crc32(self.name.encode("utf-8"))
         return zlib.crc32(f"{self.name}@epoch{epoch}".encode("utf-8"))
-
-    def begin_epoch(self, epoch: int) -> None:
-        """Start reservoir *epoch*: drop retained samples, reset the
-        reservoir counter and reseed.  Aggregates are untouched."""
-        self.epoch = int(epoch)
-        self._epoch_count = 0
-        self.samples.clear()
-        self._rng = random.Random(self._seed_for(self.epoch))
 
     def observe(self, value: Number, cycle: float = 0.0) -> None:
         value = float(value)

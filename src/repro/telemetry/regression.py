@@ -1,20 +1,20 @@
 """Perf-trajectory comparison: ``repro bench diff <old.json> <new.json>``.
 
-Benchmark scripts under ``benchmarks/`` write ``BENCH_*.json`` files
-whose ``metrics`` block separates two kinds of numbers:
+A BENCH payload (the results file ``benchmarks/suite/run.py --out``
+writes through ``benchmarks/_common.write_bench``) holds two sections
+under its ``metrics`` block, and :func:`metric_sections` is the one
+parser of that shape:
 
 * ``deterministic`` — simulated cycle counts, event counts, row counts.
   These are pure IEEE-754 float math over fixed inputs, so they must be
-  **bit-identical** between runs on any host: the default tolerance is
-  zero and any change is a regression (or an unflagged behaviour change).
+  **bit-identical** between runs on any host: any change is a
+  regression (or an unflagged behaviour change).
 * ``timing`` — host wall-clock seconds and throughputs.  Noisy by
-  nature: compared with a relative tolerance (default 25%; CI uses a
-  looser gate because shared runners are noisier still).
+  nature: compared with a relative tolerance (default 25%).
 
 Metric direction: larger is worse, except names ending in ``_per_sec``
 or containing ``speedup``/``hits`` (throughput-style), where smaller is
-worse.  Files that predate the ``metrics`` block (flat dicts) are
-compared as timing metrics for any key that looks numeric.
+worse.  Any other payload shape is a :class:`~repro.errors.ConfigError`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import statistics
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigError
 
@@ -141,49 +141,53 @@ class BenchComparison:
         return "\n".join([header] + lines + ["", verdict]) + "\n"
 
 
-def _metric_sections(
-    payload: Dict[str, Any],
-) -> List[Tuple[str, Dict[str, float]]]:
-    """(kind, metrics) sections of one BENCH payload.
+#: The two metric sections of a BENCH payload, in report order.
+SECTIONS = ("deterministic", "timing")
 
-    New-style files carry ``{"metrics": {"deterministic": {...},
-    "timing": {...}}}``; legacy flat files are treated as one timing
-    section over their numeric keys.
+
+def metric_sections(
+    payload: Dict[str, Any], source: str = "bench payload",
+) -> Dict[str, Dict[str, float]]:
+    """The ``deterministic`` and ``timing`` sections of one BENCH payload.
+
+    The payload carries ``{"metrics": {"deterministic": {...}, "timing":
+    {...}}}``; a missing or null section is empty.  ConfigError, naming
+    *source*, for any other shape or a metric that is not a number.
     """
     metrics = payload.get("metrics")
-    if isinstance(metrics, dict) and (
-        "deterministic" in metrics or "timing" in metrics
+    if not isinstance(metrics, dict) or not any(
+        kind in metrics for kind in SECTIONS
     ):
-        return [
-            (kind, dict(metrics.get(kind) or {}))
-            for kind in ("deterministic", "timing")
-        ]
-    flat = {
-        name: value
-        for name, value in payload.items()
-        if isinstance(value, (int, float)) and not isinstance(value, bool)
-    }
-    return [("timing", flat)]
+        raise ConfigError(
+            f"{source} is not a two-section BENCH payload (a \"metrics\" "
+            f"object of \"deterministic\" and \"timing\" metrics)")
+    sections = {}
+    for kind in SECTIONS:
+        section = metrics.get(kind) or {}
+        if not isinstance(section, dict):
+            raise ConfigError(f"{source}: metrics.{kind} is not an object")
+        for name, value in section.items():
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ConfigError(
+                    f"{source}: metric {kind}.{name} is {value!r}, "
+                    f"not a number")
+        sections[kind] = section
+    return sections
 
 
 def compare_bench(
     old: Dict[str, Any],
     new: Dict[str, Any],
     timing_tolerance: float = DEFAULT_TIMING_TOLERANCE,
-    deterministic_tolerance: float = 0.0,
 ) -> BenchComparison:
     """Compare two BENCH payloads; see the module docstring for rules."""
     comparison = BenchComparison()
-    old_sections = dict(_metric_sections(old))
-    new_sections = dict(_metric_sections(new))
-    for kind in ("deterministic", "timing"):
-        old_metrics = old_sections.get(kind, {})
-        new_metrics = new_sections.get(kind, {})
-        tolerance = (
-            deterministic_tolerance
-            if kind == "deterministic"
-            else timing_tolerance
-        )
+    old_sections = metric_sections(old)
+    new_sections = metric_sections(new)
+    for kind in SECTIONS:
+        old_metrics = old_sections[kind]
+        new_metrics = new_sections[kind]
+        tolerance = 0.0 if kind == "deterministic" else timing_tolerance
         for name in sorted(old_metrics):
             if name not in new_metrics:
                 comparison.missing.append(name)
@@ -235,7 +239,6 @@ def compare_bench_history(
     histories: List[Dict[str, Dict[str, float]]],
     new: Dict[str, Any],
     timing_tolerance: float = DEFAULT_TIMING_TOLERANCE,
-    deterministic_tolerance: float = 0.0,
 ) -> BenchComparison:
     """Gate *new* against the median of N archived runs.
 
@@ -244,15 +247,13 @@ def compare_bench_history(
     lucky (or unlucky) archived run can neither mask nor fake one.
     """
     return compare_bench(
-        median_baseline(histories),
-        new,
-        timing_tolerance=timing_tolerance,
-        deterministic_tolerance=deterministic_tolerance,
+        median_baseline(histories), new, timing_tolerance=timing_tolerance,
     )
 
 
 def load_bench(path: str) -> Dict[str, Any]:
-    """Read one BENCH file; ConfigError unless it holds a JSON object."""
+    """Read one BENCH file; ConfigError unless it holds a two-section
+    BENCH payload (:func:`metric_sections`)."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -261,6 +262,7 @@ def load_bench(path: str) -> Dict[str, Any]:
     if not isinstance(payload, dict):
         raise ConfigError(f"bench file {path!r} holds a "
                           f"{type(payload).__name__}, not a JSON object")
+    metric_sections(payload, f"bench file {path!r}")
     return payload
 
 
@@ -268,11 +270,8 @@ def compare_bench_files(
     old_path: str,
     new_path: str,
     timing_tolerance: float = DEFAULT_TIMING_TOLERANCE,
-    deterministic_tolerance: float = 0.0,
 ) -> BenchComparison:
     return compare_bench(
-        load_bench(old_path),
-        load_bench(new_path),
+        load_bench(old_path), load_bench(new_path),
         timing_tolerance=timing_tolerance,
-        deterministic_tolerance=deterministic_tolerance,
     )

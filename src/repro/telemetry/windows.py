@@ -21,12 +21,11 @@ Three primitives:
   tumbling buckets (the multi-window burn-rate alerts in
   :mod:`repro.telemetry.slo` are built on this).
 * :class:`WindowReservoir` — per-window latency samples for percentile
-  estimation.  Each window gets its own epoch of the
-  :class:`~repro.telemetry.metrics.Histogram` reservoir
-  (:meth:`~repro.telemetry.metrics.Histogram.begin_epoch`), so
-  percentiles never mix samples across a window boundary and the
-  retained sample set is deterministic per ``(name, window)`` no matter
-  how the run was parallelised.  Its value mass is held exactly, as an
+  estimation.  Each window gets its own
+  :class:`~repro.telemetry.metrics.Histogram`, built at epoch = window
+  index, so percentiles never mix samples across a window boundary and
+  the retained sample set is deterministic per ``(name, window)`` no
+  matter how the run was parallelised.  Its value mass is held exactly, as an
   integer count of ``2**-1074`` units (every float is a whole number of
   them), so no observation builds a Fraction.
 
@@ -183,7 +182,7 @@ class WindowReservoir:
     """Per-window value samples with deterministic percentile estimation.
 
     One :class:`~repro.telemetry.metrics.Histogram` per populated
-    window, opened at epoch = window index, so the retained reservoir is
+    window, built at epoch = window index, so the retained reservoir is
     a pure function of ``(name, window, observed values)`` — feed order
     and process count cannot perturb it.  Alongside the reservoir an
     exact sum/count per window is kept (the sum of the observed floats,
@@ -213,8 +212,7 @@ class WindowReservoir:
         w = window_of(cycle, self.window_cycles)
         hist = self._hists.get(w)
         if hist is None:
-            hist = Histogram(self.name, max_samples=self.max_samples)
-            hist.begin_epoch(w)
+            hist = Histogram(self.name, self.max_samples, epoch=w)
             self._hists[w] = hist
         hist.observe(value, cycle=cycle)
         self._units[w] = self._units.get(w, 0) + _float_units(value)

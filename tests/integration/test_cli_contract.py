@@ -118,6 +118,10 @@ def _write_inputs(tmp: Path) -> None:
     (tmp / "breaching.slo.json").write_text(json.dumps(BREACHING_SPEC))
     (tmp / "old.json").write_text(json.dumps(_bench(4_000_000.0)))
     (tmp / "new.json").write_text(json.dumps(_bench(4_800_000.0)))
+    (tmp / "stamped.json").write_text(
+        json.dumps({"bench_id": "demo", **_bench(4_000_000.0)}))
+    (tmp / "flat.json").write_text(
+        json.dumps({"benchmark": "x", "wall_seconds": 1.0}))
     (tmp / "boom.py").write_text("raise RuntimeError('kaput')\n")
     (tmp / "notpy.txt").write_text("this is not python at all {{{\n")
 
@@ -181,6 +185,9 @@ EXITS = [
          "unknown protection 'warp9' for --diff"),
     _row("audit-unknown-protection", "audit warp9", 2,
          "unknown protection 'warp9'"),
+    _row("stats-unknown-format",
+         "stats alexnet --input-size 32 --format bogus", 2,
+         "unknown format 'bogus'"),
     # Unusable input: a trace script that is missing, fails or is not
     # Python.
     _row("trace-missing-script", "trace {tmp}/does/not/exist.py", 2,
@@ -190,7 +197,9 @@ EXITS = [
     _row("trace-non-python-script", "trace {tmp}/notpy.txt", 2,
          "must be a .py script or a model name"),
     _row("experiments-unknown-id", "experiments fig99", 2, "cluster-sweep"),
-    # Unusable input: a BENCH file that is missing or not a JSON object.
+    # Unusable input: a BENCH file that is missing, not a JSON object or
+    # not a two-section payload, one without a bench_id stamp under
+    # --history (old.json has none), or a lone file without --history.
     _row("bench-diff-missing-file",
          "bench diff {tmp}/old.json {tmp}/nope.json", 2,
          "cannot read bench file"),
@@ -203,6 +212,17 @@ EXITS = [
          2, "not a JSON object"),
     _row("diagnose-history-list-file", "diagnose {tmp}/list.json --history 2",
          2, "not a JSON object"),
+    _row("bench-diff-flat-file", "bench diff {tmp}/flat.json {tmp}/flat.json",
+         2, "not a two-section BENCH payload"),
+    _row("diagnose-history-flat-file", "diagnose {tmp}/flat.json --history 3",
+         2, "flat.json' is not a two-section BENCH payload"),
+    _row("bench-history-unstamped-file",
+         "bench diff {tmp}/old.json --history 3", 2,
+         'old.json\' has no "bench_id" field'),
+    _row("bench-one-file-without-history", "bench diff {tmp}/stamped.json",
+         2, "needs two files, or one file with --history N"),
+    _row("diagnose-bench-file-without-history",
+         "diagnose {tmp}/stamped.json", 2, "needs --history N"),
     # Unusable input: an output path that cannot be written (OSError).
     _row("serve-out-missing-dir",
          "serve default --duration 50 -o {tmp}/missing/x.json", 2,
@@ -230,10 +250,18 @@ EXITS = [
          "takes two archived run ids"),
     _row("diagnose-unknown-target", "diagnose nonesuch --a none --b snpu", 2,
          "unknown diagnose target"),
-    # Unusable input: no run archive yet, or SQL the archive refuses.
+    # Unusable input: no run archive yet, a metric no archived run
+    # carries, or SQL the archive refuses.
     _row("report-without-store", "report -o {tmp}/r.html", 2,
          "no run archive"),
     _row("query-without-store", "query runs", 2, "no run archive"),
+    _row("bench-history-without-store",
+         "bench diff {tmp}/stamped.json --history 3", 2, "no run archive"),
+    _row("diagnose-pair-without-store", "diagnose aaaa bbbb", 2,
+         "no run archive"),
+    _row("history-absent-metric", "history no.such.metric", 2,
+         "carry metric 'no.such.metric'",
+         before="stats alexnet --input-size 32"),
     _row("query-bad-sql", 'query "SELEC nonsense"', 2, "bad SQL",
          before="stats alexnet --input-size 32"),
     _row("query-write-sql-rejected", 'query "DROP TABLE runs"', 2,

@@ -3,9 +3,10 @@
 Covers the acceptance bar of the diagnosis PR: byte-deterministic
 diagnosis output across same-seed invocations, all three input modes
 (archived pair, BENCH file vs history, live back-to-back), the exit-code
-contract (0 ok / 2 bad input), the diagnosis a failed ``bench diff
---history`` gate attaches, the report comparison page, and the
-``repro history`` absent-metric contract.
+contract (0 ok / 2 bad input; the argv-only cases are rows of
+``test_cli_contract.py``), the diagnosis a failed ``bench diff
+--history`` gate attaches, the report comparison page, and ``repro
+history`` on an archived metric.
 """
 
 from __future__ import annotations
@@ -67,10 +68,6 @@ class TestArchivedPairMode:
     def test_same_run_twice_exits_two(self, capsys):
         id_a, _ = _archive_profiles()
         assert main(["diagnose", id_a, id_a]) == 2
-        assert capsys.readouterr().err.startswith("error:")
-
-    def test_missing_store_exits_two(self, capsys):
-        assert main(["diagnose", "aaaa", "bbbb"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
 
@@ -141,12 +138,6 @@ class TestBenchMode:
         assert "== diagnose[bench]:" in out
         assert "gate: FAIL: 1 regression(s)" in out
 
-    def test_bench_file_without_history_exits_two(self, tmp_path, capsys):
-        bench = tmp_path / "BENCH_demo.json"
-        bench.write_text("{}")
-        assert main(["diagnose", str(bench)]) == 2
-        assert capsys.readouterr().err.strip()
-
 
 class TestReportComparisonPage:
     def test_report_grows_comparison_section(self, tmp_path, capsys):
@@ -209,13 +200,6 @@ class TestCannedQueries:
 
 
 class TestHistoryContract:
-    def test_absent_metric_exits_two(self, capsys):
-        _archive_profiles()
-        assert main(["history", "no.such.metric"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "no.such.metric" in err
-        assert err.count("\n") == 1  # one line on stderr
-
     def test_present_metric_exits_zero(self, capsys):
         _archive_profiles()
         assert main(["history", "profile.total_cycles"]) == 0

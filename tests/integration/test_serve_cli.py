@@ -9,6 +9,7 @@ from repro import telemetry
 from repro.cli import main
 from repro.driver.scheduler import MultiTaskScheduler
 from repro.npu.config import NPUConfig
+from repro.serving.cluster import ClusterSimulator
 from repro.serving.queueing import ServeSimulator
 from repro.serving.report import ServeReport
 from repro.serving.workload import SCENARIOS
@@ -107,8 +108,26 @@ class TestRecordOnlyWhatIsRead:
         assert "flows dropped (tracker cap reached)" in warnings[0]
 
 
+#: The default scenario on an 8-worker ``rr`` fleet, seed 0, 1e6
+#: requests with 400 ms of detail: per mechanism, (requests accounted
+#: for, requests served in detail, reconciliation checks, per-tenant p99
+#: ms).  Simulated values, so bit-exact on any host.
+FLEET = {
+    "snpu": (1_000_000, 1008, 19, {
+        "cam": 127.44459279758554, "nlp": 122.3442316133681,
+        "batch": 140.7206278490621}),
+    "partition": (1_000_000, 1008, 19, {
+        "cam": 129.28598002980678, "nlp": 122.43909980165905,
+        "batch": 140.9034378874086}),
+    "flush-tile": (1_000_000, 1008, 19, {
+        "cam": 162.22034260134794, "nlp": 147.1802863451374,
+        "batch": 145.222362617781}),
+}
+
+
 class TestAcceptanceOrdering:
-    """The §IV-B SLA dilemma on the default scenario at its defaults."""
+    """The §IV-B SLA dilemma on the default scenario at its defaults, on
+    one NPU and on the :data:`FLEET`."""
 
     @pytest.fixture(scope="class")
     def reports(self):
@@ -123,15 +142,39 @@ class TestAcceptanceOrdering:
             out[mechanism] = ServeReport.build(sim.run())
         return out
 
-    def test_per_tenant_p99_ordering(self, reports):
-        for spec in SCENARIOS["default"].tenants:
-            snpu = reports["snpu"].tenant(spec.name).p99_ms
-            partition = reports["partition"].tenant(spec.name).p99_ms
-            tile = reports["flush-tile"].tenant(spec.name).p99_ms
-            assert snpu < partition < tile, (
-                f"{spec.name}: p99 snpu={snpu:.3f} partition={partition:.3f} "
-                f"flush-tile={tile:.3f} violates snpu < partition < flush-tile"
-            )
+    @pytest.fixture(scope="class")
+    def fleet(self):
+        config = NPUConfig.paper_default()
+        scheduler = MultiTaskScheduler(config)  # shared analytic cache
+        out = {}
+        for mechanism in FLEET:
+            with telemetry.scoped(trace=False, profile=False):
+                out[mechanism] = ClusterSimulator(
+                    SCENARIOS["default"], mechanism=mechanism, balance="rr",
+                    workers=8, requests=1_000_000, seed=0, detail_ms=400.0,
+                    config=config, scheduler=scheduler,
+                ).run()
+        return out
+
+    def test_per_tenant_p99_ordering(self, reports, fleet):
+        for where, by_mechanism in (("one NPU", reports), ("fleet", fleet)):
+            for spec in SCENARIOS["default"].tenants:
+                snpu = by_mechanism["snpu"].tenant(spec.name).p99_ms
+                partition = by_mechanism["partition"].tenant(spec.name).p99_ms
+                tile = by_mechanism["flush-tile"].tenant(spec.name).p99_ms
+                assert snpu < partition < tile, (
+                    f"{where}, {spec.name}: p99 snpu={snpu:.3f} "
+                    f"partition={partition:.3f} flush-tile={tile:.3f} "
+                    f"violates snpu < partition < flush-tile"
+                )
+
+    def test_fleet_is_pinned(self, fleet):
+        assert {
+            mechanism: (report.requests_total, report.requests_detailed,
+                        len(report.reconciliation),
+                        {t.tenant: t.p99_ms for t in report.tenants})
+            for mechanism, report in fleet.items()
+        } == FLEET
 
     def test_flush_overhead_only_under_temporal(self, reports):
         assert reports["flush-tile"].flush_share > 0.0

@@ -10,7 +10,11 @@ import json
 
 import pytest
 
+from repro import telemetry
 from repro.cli import main
+from repro.serving.queueing import ServeSimulator
+from repro.serving.workload import SCENARIOS
+from repro.telemetry.slo import default_spec, evaluate
 
 ARGS = ["--duration", "200", "--seed", "7"]
 
@@ -75,6 +79,47 @@ class TestWatchCLI:
             ]) == 0
             rows[window] = len(json.loads(path.read_text())["timeline"])
         assert rows["25"] > rows["100"]
+
+
+#: The pinned values of the windowed nlp-mix run below.
+WINDOWED_NLP_MIX = {
+    "completed": 76, "windows": 9, "window_completions_sum": 76,
+    "window_sla_ok_sum": 48, "flushes": 0, "world_switches": 42,
+    "slo_alerts_fired": 0, "slo_window_breaches": 0,
+}
+
+
+def test_windowed_nlp_mix_run_is_pinned():
+    """nlp-mix under snpu at seed 7: 400 ms served plain and in 50 ms
+    windows.  Windowing serves the same requests, and the window
+    timeline and its built-in SLO verdict are bit-exact."""
+    scenario = SCENARIOS["nlp-mix"]
+
+    def serve(window_ms):
+        with telemetry.scoped(trace=False, profile=False):
+            return ServeSimulator(
+                scenario, mechanism="snpu", seed=7, duration_ms=400.0,
+                window_ms=window_ms,
+            ).run()
+
+    plain, windowed = serve(None), serve(50.0)
+    timeline = windowed.windows.timeline()
+    slo = evaluate(default_spec(
+        "nlp-mix", {t.name: t.sla_ms for t in scenario.tenants},
+        window_ms=50.0,
+    ), timeline)
+    tenants = [t for rec in timeline for t in rec["tenants"].values()]
+    assert len(windowed.completed) == len(plain.completed)
+    assert {
+        "completed": len(windowed.completed),
+        "windows": len(timeline),
+        "window_completions_sum": sum(t["completions"] for t in tenants),
+        "window_sla_ok_sum": sum(t["sla_ok"] for t in tenants),
+        "flushes": windowed.flushes,
+        "world_switches": windowed.world_switches,
+        "slo_alerts_fired": len(slo.fired),
+        "slo_window_breaches": len(slo.breaches),
+    } == WINDOWED_NLP_MIX
 
 
 class TestSLOCLI:

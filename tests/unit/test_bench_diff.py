@@ -7,6 +7,7 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.errors import ConfigError
 from repro.telemetry.regression import (
     DEFAULT_TIMING_TOLERANCE,
     MetricDelta,
@@ -118,13 +119,18 @@ class TestCompareBench:
         assert comparison.added == ["extra"]
         assert comparison.ok
 
-    def test_legacy_flat_files_compare_as_timing(self):
-        old = {"benchmark": "x", "wall_seconds": 1.0, "note": "text"}
-        new = {"benchmark": "x", "wall_seconds": 1.1, "note": "text"}
-        comparison = compare_bench(old, new)
-        assert [d.name for d in comparison.deltas] == ["wall_seconds"]
-        assert comparison.deltas[0].kind == "timing"
-        assert comparison.ok
+    def test_other_payload_shapes_are_rejected(self):
+        for payload, fragment in [
+            ({"benchmark": "x", "wall_seconds": 1.0},
+             "not a two-section BENCH payload"),
+            ({"metrics": {"wall_seconds": 1.0}},
+             "not a two-section BENCH payload"),
+            ({"metrics": {"timing": [1.0]}}, "metrics.timing is not an object"),
+            ({"metrics": {"timing": {"s": "1.0"}}}, "timing.s is '1.0', not a"),
+            ({"metrics": {"deterministic": {"ok": True}}}, "is True, not a"),
+        ]:
+            with pytest.raises(ConfigError, match=fragment):
+                compare_bench(BASELINE, payload)
 
 
 class TestCliBenchDiff:
@@ -168,10 +174,10 @@ def test_compare_bench_files_roundtrip(tmp_path):
 
 
 def test_committed_baseline_self_diffs_clean():
-    """The committed BENCH_profile.json is valid and self-consistent."""
+    """The suite's committed BASELINE.json is valid and self-consistent."""
     root = os.path.join(os.path.dirname(__file__), "..", "..")
-    path = os.path.normpath(os.path.join(root, "BENCH_profile.json"))
-    assert os.path.exists(path), "BENCH_profile.json must be committed"
+    path = os.path.normpath(
+        os.path.join(root, "benchmarks", "suite", "BASELINE.json"))
     comparison = compare_bench_files(path, path)
     assert comparison.ok
     kinds = {d.kind for d in comparison.deltas}

@@ -165,3 +165,39 @@ def test_analytic_mode_profile(model):
     profile = profile_model(model, "snpu", detailed=False)
     assert profile.mode == "analytic"
     assert sum(profile.categories.values(), ZERO) == profile.total
+
+
+#: Detailed-path profiles of resnet and mobilenet at 112x112: per
+#: protection, (cycles, layers, IOTLB walks, Guarder checks,
+#: dma.stall.iotlb cycles).  Simulated values, so bit-exact on any host:
+#: a change here is a model change.
+DETAILED_MATRIX = {
+    "resnet": {
+        "none": (4179843.25, 31, 0, 0, 0.0),
+        "trustzone": (4854630.25, 31, 33719, 0, 704541.5),
+        "snpu": (4179843.25, 31, 0, 33601, 0.0),
+    },
+    "mobilenet": {
+        "none": (2228664.25, 29, 0, 0, 0.0),
+        "trustzone": (2700812.0, 29, 20253, 0, 500410.0),
+        "snpu": (2228664.25, 29, 0, 42446, 0.0),
+    },
+}
+
+
+def test_detailed_matrix_is_pinned():
+    measured = {}
+    for name, protections in DETAILED_MATRIX.items():
+        model = zoo.MODEL_BUILDERS[name](112)
+        measured[name] = {}
+        for protection in protections:
+            profile = profile_model(model, protection, detailed=True)
+            total = float(profile.total)
+            measured[name][protection] = (
+                total,
+                len(profile.layers),
+                profile.counts.get("iotlb.walks", 0),
+                profile.counts.get("guarder.checks", 0),
+                profile.share("dma.stall.iotlb") * total,
+            )
+    assert measured == DETAILED_MATRIX

@@ -1,6 +1,8 @@
 """Unit tests for the telemetry subsystem: metrics, tracing, export."""
 
 import json
+import random
+import zlib
 
 import pytest
 
@@ -113,43 +115,26 @@ class TestHistogram:
             h.observe(float(v))
         assert h.samples == first
 
-    def test_begin_epoch_drops_samples_keeps_aggregates(self):
-        h = Histogram("x", max_samples=8)
-        for v in range(100):
-            h.observe(float(v))
-        h.begin_epoch(1)
-        assert h.samples == []
-        assert h.count == 100 and h.total == sum(range(100))
-        h.observe(7.0)
-        # The new epoch's percentile sees only its own samples.
-        assert h.percentile(50) == 7.0
-        assert h.count == 101
-
     def test_epoch_zero_seed_matches_historical(self):
-        # A run that never calls begin_epoch and one that re-opens epoch
-        # 0 retain byte-identical samples: epoch 0 is the name-only seed.
-        plain, reopened = Histogram("x", max_samples=8), Histogram(
-            "x", max_samples=8)
-        reopened.begin_epoch(0)
-        for v in range(5000):
-            plain.observe(float(v))
-            reopened.observe(float(v))
-        assert plain.samples == reopened.samples
+        # Epoch 0, the default, seeds from the name alone, as every
+        # histogram did before epochs existed.
+        name_only = random.Random(zlib.crc32(b"x")).getstate()
+        assert Histogram("x")._rng.getstate() == name_only
+        assert Histogram("x", epoch=0)._rng.getstate() == name_only
 
     def test_epochs_retain_independent_deterministic_samples(self):
         def fill(epoch):
-            h = Histogram("x", max_samples=8)
-            h.begin_epoch(epoch)
+            h = Histogram("x", max_samples=8, epoch=epoch)
             for v in range(5000):
                 h.observe(float(v))
             return h.samples
 
         assert fill(1) == fill(1)
         assert fill(1) != fill(2)
+        assert fill(0) != fill(1)
 
     def test_reset_returns_to_epoch_zero(self):
-        h = Histogram("x")
-        h.begin_epoch(3)
+        h = Histogram("x", epoch=3)
         h.observe(1.0)
         h.reset()
         assert h.epoch == 0

@@ -1,5 +1,7 @@
 """Unit tests for the sliding-window primitives (:mod:`repro.telemetry.windows`)."""
 
+import random
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -178,6 +180,26 @@ class TestWindowReservoir:
         # (epoch-seeded), even though they saw value streams of equal
         # length — seed differs per (name, window).
         assert a._hists[0].epoch != a._hists[1].epoch
+
+    def test_window_keeps_the_samples_of_the_two_step_build(self):
+        # A window's histogram was once built at the name-only seed and
+        # then reseeded from (name, window); built at its epoch, it must
+        # retain the very same reservoir.  Past the 4,096-sample cap,
+        # Algorithm R draws from that seed.
+        r = WindowReservoir("lat", 10.0)
+        values = [float(i * 7919 % 10_007) for i in range(10_000)]
+        for value in values:
+            r.observe(35.0, value)
+        rng = random.Random(zlib.crc32(b"lat@epoch3"))
+        expected = []
+        for n, value in enumerate(values, 1):
+            if len(expected) < 4096:
+                expected.append((35.0, value))
+            else:
+                slot = rng.randrange(n)
+                if slot < 4096:
+                    expected[slot] = (35.0, value)
+        assert r._hists[3].samples == expected
 
     def test_value_mass_is_exact(self):
         r = WindowReservoir("lat", 10.0)
