@@ -19,26 +19,20 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.experiments.cache import config_digest, source_digest
 from repro.store import ingest_quietly
 from repro.store.ingest import record_from_bench
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-
-def write_bench(
-    bench_id: str,
-    payload: Dict[str, Any],
-    out_path: Optional[str] = None,
-) -> str:
-    """Stamp, write and archive one benchmark payload.
+def write_bench(bench_id: str, payload: Dict[str, Any], out_path: str) -> str:
+    """Stamp *payload*, write it to *out_path* and archive it.
 
     *payload* carries the benchmark's own fields (``benchmark`` title,
     parameters, and the two-section ``metrics`` block that
     :func:`repro.telemetry.regression.metric_sections` reads).  Returns
-    the path written.
+    *out_path*.
     """
     stamped = dict(payload)
     stamped["bench_id"] = bench_id
@@ -48,9 +42,8 @@ def write_bench(
     stamped["cpu_count"] = os.cpu_count()
     stamped["config_digest"] = config_digest()
     stamped["source_digest"] = source_digest()
-    path = out_path or os.path.join(REPO_ROOT, f"BENCH_{bench_id}.json")
-    with open(path, "w") as fh:
+    with open(out_path, "w") as fh:
         json.dump(stamped, fh, indent=2, sort_keys=True)
         fh.write("\n")
     ingest_quietly(record_from_bench(stamped, bench_id))
-    return path
+    return out_path

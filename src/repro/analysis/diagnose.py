@@ -425,8 +425,7 @@ def _category_order(names: Sequence[str]) -> List[str]:
 def diagnose_profiles(a: Any, b: Any) -> Diagnosis:
     """Diagnose two :class:`~repro.analysis.profile.ModelProfile` runs.
 
-    Parts are the per-category exact deltas (the same decomposition as
-    :func:`~repro.analysis.profile.diff_profiles`); per-category layer
+    Parts are the per-category exact deltas; per-category layer
     concentration is computed when both runs attributed the same layer
     sequence.
     """

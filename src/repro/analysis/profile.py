@@ -1,5 +1,5 @@
-"""Cycle-attribution reports: per-layer bound analysis, overhead
-decomposition diffs, flamegraph export and host-side profiling.
+"""Cycle-attribution reports: per-layer bound analysis, flamegraph
+export and host-side profiling.
 
 Built on :mod:`repro.telemetry.profiler`: one :func:`profile_model` call
 runs a workload inside a fresh telemetry scope and folds the profiler's
@@ -7,10 +7,11 @@ exact per-layer ledger into a :class:`ModelProfile` — the report object
 behind ``repro profile``.
 
 * **Attribution exactness** — every report keeps the profiler's rational
-  cycle values; ``sum(categories) == total`` holds bit-for-bit, and a
-  :class:`ProfileDiff`'s per-mechanism deltas sum *exactly* to the
-  end-to-end overhead between two protection modes (the decomposition
-  corroborating Fig. 13/14/16).
+  cycle values; ``sum(categories) == total`` holds bit-for-bit, so
+  :func:`repro.analysis.diagnose.diagnose_profiles` can split the
+  end-to-end overhead between two protection modes into per-mechanism
+  deltas that sum *exactly* to it (the decomposition corroborating
+  Fig. 13/14/16; ``repro diagnose MODEL --a BASE --b PROT``).
 * **Bound analysis** — a layer is compute-bound when PE cycles dominate
   its exposed DMA time; the double-buffer overlap efficiency is the
   fraction of DMA busy time hidden under compute.
@@ -68,12 +69,6 @@ class LayerReport:
     dma_busy: float = 0.0
     compute_busy: float = 0.0
     macs: float = 0.0
-
-    def exposed(self, roots=_MEMORY_ROOTS) -> Fraction:
-        return sum(
-            (v for k, v in self.parts.items() if category_root(k) in roots),
-            _ZERO,
-        )
 
 
 @dataclass
@@ -386,118 +381,6 @@ def profile_model(
         counts=counts,
         run_cycles=result.cycles,
         host_seconds=host_seconds,
-    )
-
-
-# ----------------------------------------------------------------------
-# Overhead decomposition between two runs
-# ----------------------------------------------------------------------
-@dataclass
-class ProfileDiff:
-    """Per-mechanism overhead decomposition between two profiles.
-
-    ``deltas`` are exact rationals (``other - base`` per category), so
-    ``sum(deltas.values()) == total_delta`` bit-for-bit — the mechanism
-    deltas *are* the end-to-end overhead, fully decomposed.
-    """
-
-    base: ModelProfile
-    other: ModelProfile
-    deltas: Dict[str, Fraction]
-    total_delta: Fraction
-
-    @property
-    def overhead(self) -> float:
-        """Relative end-to-end overhead of *other* vs *base*."""
-        if self.base.total == 0:
-            return 0.0
-        return float(self.total_delta / self.base.total)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "task": self.other.task,
-            "base": self.base.protection,
-            "other": self.other.protection,
-            "base_cycles": float(self.base.total),
-            "other_cycles": float(self.other.total),
-            "total_delta": float(self.total_delta),
-            "total_delta_exact": _encode(self.total_delta),
-            "overhead": self.overhead,
-            "deltas": {
-                k: float(v) for k, v in sorted(self.deltas.items())
-            },
-            "deltas_exact": {
-                k: _encode(v) for k, v in sorted(self.deltas.items())
-            },
-        }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    def to_table(self, markdown: bool = False) -> str:
-        head = (
-            f"{self.other.task}: {self.other.protection} vs "
-            f"{self.base.protection} — "
-            f"{float(self.total_delta):+,.0f} cycles "
-            f"({self.overhead:+.3%} end-to-end)"
-        )
-        rows = [
-            (category, self.deltas[category])
-            for category in CATEGORIES
-            if self.deltas.get(category, _ZERO) != 0
-        ]
-        if markdown:
-            lines = [
-                f"## {head}",
-                "",
-                "| mechanism | Δ cycles | share of overhead |",
-                "|---|---:|---:|",
-            ]
-            for category, delta in rows:
-                share = (
-                    float(delta / self.total_delta)
-                    if self.total_delta
-                    else 0.0
-                )
-                lines.append(
-                    f"| {category} | {float(delta):+,.0f} | {share:+.1%} |"
-                )
-            lines.append(
-                f"| **total** | **{float(self.total_delta):+,.0f}** "
-                f"| +100.0% |"
-            )
-            return "\n".join(lines) + "\n"
-        lines = [head, ""]
-        width = max((len(c) for c, _d in rows), default=8)
-        for category, delta in rows:
-            share = (
-                float(delta / self.total_delta) if self.total_delta else 0.0
-            )
-            lines.append(
-                f"  {category.ljust(width)}  {float(delta):>+16,.0f}  "
-                f"{share:>+8.1%}"
-            )
-        lines.append(
-            f"  {'total'.ljust(width)}  {float(self.total_delta):>+16,.0f}  "
-            f"{'+100.0%':>8}"
-        )
-        return "\n".join(lines) + "\n"
-
-
-def diff_profiles(base: ModelProfile, other: ModelProfile) -> ProfileDiff:
-    """Exact per-category decomposition of ``other - base``."""
-    deltas: Dict[str, Fraction] = {}
-    for category in set(base.categories) | set(other.categories):
-        delta = other.categories.get(category, _ZERO) - base.categories.get(
-            category, _ZERO
-        )
-        if delta != 0:
-            deltas[category] = delta
-    return ProfileDiff(
-        base=base,
-        other=other,
-        deltas=deltas,
-        total_delta=other.total - base.total,
     )
 
 

@@ -14,7 +14,7 @@
     python -m repro serve default --mechanism snpu --rps 240 --duration 400
     python -m repro watch nlp-mix --seed 7 --window 50   # live window timeline
     python -m repro slo nlp-mix --spec specs/nlp-mix.slo.json  # exit 1 on breach
-    python -m repro profile resnet --protection snpu --diff baseline
+    python -m repro diagnose resnet --a baseline --b snpu   # exact overhead
     python -m repro profile resnet --host  # cProfile the simulator itself
     python -m repro bench diff benchmarks/suite/BASELINE.json new.json
     python -m repro bench diff new.json --history 3   # vs archived runs
@@ -708,10 +708,8 @@ def _cmd_slo(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    """Cycle-attribution report, protection-mode diff, or host profile."""
-    from repro.analysis.profile import (
-        diff_profiles, profile_host, profile_model,
-    )
+    """Cycle-attribution report, or host profile."""
+    from repro.analysis.profile import profile_host, profile_model
 
     model = _resolve_model(args.model, args.input_size)
 
@@ -731,25 +729,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.store.ingest import record_from_profile
 
     ingest_quietly(record_from_profile(profile))
-
-    if args.diff:
-        base_name = "none" if args.diff == "baseline" else args.diff
-        if base_name not in ("none", "trustzone", "snpu"):
-            raise ConfigError(f"unknown protection {args.diff!r} for --diff; "
-                              f"choose baseline, none, trustzone or snpu")
-        base = profile_model(
-            model, protection=base_name, detailed=not args.analytic,
-            secure=args.secure and base_name != "none",
-        )
-        diff = diff_profiles(base, profile)
-        payload = _format_payload(args.format, {
-            "json": diff.to_json,
-            "md": lambda: diff.to_table(markdown=True),
-            "table": lambda: diff.to_table(markdown=False),
-        })
-        _emit(payload, args.out)
-        return 0
-
     payload = _format_payload(args.format, {
         "json": profile.to_json,
         "md": profile.to_markdown,
@@ -1239,11 +1218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("model", help=", ".join(zoo.MODEL_BUILDERS))
     p_prof.add_argument(
         "--protection", choices=("none", "trustzone", "snpu"), default="snpu"
-    )
-    p_prof.add_argument(
-        "--diff", metavar="BASE", default=None,
-        help="decompose the overhead vs this protection "
-             "(baseline/none, trustzone, snpu)",
     )
     p_prof.add_argument("--secure", action="store_true")
     p_prof.add_argument(

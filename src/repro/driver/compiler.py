@@ -30,6 +30,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.common.types import AddressRange, DmaRequest, World
 from repro.errors import ConfigError
 from repro.npu.config import NPUConfig
+from repro.npu.dma import DMAEngine
 from repro.npu.isa import LayerSchedule, NPUProgram, SpadTransfer, TileIteration
 from repro.npu.systolic import SystolicArray
 from repro.workloads.model import GemmSpec, Kernel, ModelGraph, VectorSpec
@@ -381,7 +382,7 @@ class TilingCompiler:
         iters, blocks, load_bytes, store_bytes, compute, n_load_req, \
             n_store_req = totals
         bw = self.config.dram_bytes_per_cycle
-        issue = 4.0
+        issue = DMAEngine.ISSUE_CYCLES
         load = (n_load_req / iters) * issue + load_bytes / iters / bw
         store_block = (n_store_req / blocks) * issue + store_bytes / blocks / bw
         compute = compute / iters

@@ -220,10 +220,7 @@ class MultiTaskScheduler:
         """
         quanta_a = self._quanta(model_a, granularity)
         quanta_b = self._quanta(model_b, granularity)
-        switch_cost = (
-            self.config.scrub_cycles(self.config.spad_lines)
-            + self.config.context_switch_cycles
-        )
+        switch_cost = self.config.flush_cycles
         t = 0.0
         t_a = t_b = 0.0
         ia = ib = 0
@@ -344,10 +341,7 @@ class MultiTaskScheduler:
                 f"arrival_fraction must be in [0, 1), got {arrival_fraction}"
             )
         quanta_low = self._quanta(low, granularity)
-        switch_cost = (
-            self.config.scrub_cycles(self.config.spad_lines)
-            + self.config.context_switch_cycles
-        )
+        switch_cost = self.config.flush_cycles
         t_arrive = arrival_fraction * sum(quanta_low)
         # Find the quantum in flight at the arrival.
         elapsed = 0.0

@@ -18,8 +18,6 @@ uses those to schedule a process pool (see
 
 from __future__ import annotations
 
-import json
-import os
 import sys
 from typing import List, Optional, Tuple
 
@@ -77,9 +75,7 @@ REGISTRY.register("access-paths", _access_paths, cost=3.0, in_all=False,
 REGISTRY.register("watch", watch.run, cost=1.0,
                   description="live observability window timeline")
 
-def run_one(
-    exp_id: str, profile: str = "eval", outdir: Optional[str] = None
-) -> List[ExperimentResult]:
+def run_one(exp_id: str, profile: str = "eval") -> List[ExperimentResult]:
     """Run one experiment under a scoped telemetry registry.
 
     Every simulator object the experiment constructs registers its metrics
@@ -93,14 +89,6 @@ def run_one(
     results = list(out) if isinstance(out, tuple) else [out]
     for result in results:
         result.metrics = dict(snapshot)
-    if outdir:
-        from repro.experiments import export
-
-        os.makedirs(outdir, exist_ok=True)
-        for result in results:
-            export.write(result, os.path.join(outdir, f"{result.exp_id}.json"))
-        with open(os.path.join(outdir, f"{exp_id}.metrics.json"), "w") as fh:
-            json.dump(snapshot, fh, indent=2, default=str, sort_keys=True)
     return results
 
 

@@ -1,16 +1,11 @@
-"""Export experiment results and profiles to JSON / CSV / markdown."""
+"""Export experiment results to JSON."""
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from typing import Any, Dict, TYPE_CHECKING
+from typing import Any, Dict
 
 from repro.experiments.runner import ExperimentResult
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.analysis.profile import ModelProfile, ProfileDiff
 
 
 def to_dict(result: ExperimentResult) -> Dict[str, Any]:
@@ -41,61 +36,7 @@ def to_json(result: ExperimentResult, indent: int = 2) -> str:
     return json.dumps(to_dict(result), indent=indent, default=str)
 
 
-def to_csv(result: ExperimentResult) -> str:
-    """CSV with one header row; non-scalar cells are stringified."""
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=result.columns)
-    writer.writeheader()
-    for row in result.rows:
-        writer.writerow({c: row[c] for c in result.columns})
-    return buffer.getvalue()
-
-
 def write(result: ExperimentResult, path: str) -> None:
-    """Write to *path*; the extension picks the format (.json / .csv)."""
-    if path.endswith(".json"):
-        payload = to_json(result)
-    elif path.endswith(".csv"):
-        payload = to_csv(result)
-    else:
-        payload = result.format() + "\n"
+    """Write *result* to *path* as JSON."""
     with open(path, "w") as fh:
-        fh.write(payload)
-
-
-def render_profile(profile: "ModelProfile", fmt: str = "md") -> str:
-    """One profile report as ``md`` / ``json`` / ``folded`` / ``table`` text."""
-    if fmt == "json":
-        return profile.to_json()
-    if fmt == "folded":
-        return profile.to_folded()
-    if fmt == "table":
-        return profile.to_table()
-    return profile.to_markdown()
-
-
-def write_profile(profile: "ModelProfile", path: str) -> None:
-    """Write a cycle-attribution report; the extension picks the format.
-
-    ``.json`` round-trips exactly (Fraction-preserving), ``.folded`` is
-    flamegraph input (one ``stack;frame count`` line per category), and
-    ``.md`` / anything else is the human-readable markdown report.
-    """
-    if path.endswith(".json"):
-        payload = render_profile(profile, "json")
-    elif path.endswith(".folded"):
-        payload = render_profile(profile, "folded")
-    else:
-        payload = render_profile(profile, "md")
-    with open(path, "w") as fh:
-        fh.write(payload)
-
-
-def write_profile_diff(diff: "ProfileDiff", path: str) -> None:
-    """Write an overhead-decomposition diff (.json, else markdown table)."""
-    if path.endswith(".json"):
-        payload = diff.to_json()
-    else:
-        payload = diff.to_table(markdown=True)
-    with open(path, "w") as fh:
-        fh.write(payload)
+        fh.write(to_json(result))

@@ -17,8 +17,8 @@ worker processes.  Three properties make the fan-out trustworthy:
   (:mod:`repro.experiments.cache`); an unchanged (experiment, profile,
   config, source tree) is served from disk and reported as a hit.
 
-Per-worker telemetry snapshots come back with each result and are merged
-into one registry view via :func:`repro.telemetry.merge_snapshots`.
+Each outcome carries the telemetry snapshot of the process that ran it;
+``--outdir`` writes it as ``<exp_id>.metrics.json``.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ import concurrent.futures
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro import telemetry
 from repro.experiments import export
 from repro.experiments.cache import ResultCache, cache_key
 from repro.experiments.runner import ExperimentResult
@@ -83,8 +82,6 @@ class ParallelRun:
     wall_seconds: float
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Cross-process union of every outcome's telemetry snapshot.
-    merged_metrics: Dict[str, Any] = field(default_factory=dict)
 
     def timing_table(self) -> ExperimentResult:
         """Per-experiment timing as a printable table."""
@@ -119,7 +116,7 @@ def _execute(exp_id: str, profile: str) -> Dict[str, Any]:
 
     seed_rngs(stable_seed(exp_id, profile))
     started = time.time()
-    results = run_one(exp_id, profile, outdir=None)
+    results = run_one(exp_id, profile)
     metrics = dict(results[0].metrics) if results else {}
     return {
         "version": PAYLOAD_VERSION,
@@ -166,10 +163,7 @@ def run_parallel(
 
     *exp_ids* defaults to every registered ``in_all`` experiment.
     Outcomes come back in registry schedule order regardless of which
-    worker finished first, so printed output is stable.  The merged
-    telemetry view is also folded into the process-global registry when
-    one is live (``telemetry.scoped``), giving callers a single-registry
-    view of the whole batch.
+    worker finished first, so printed output is stable.
     """
     from repro.experiments.all import REGISTRY
 
@@ -235,10 +229,6 @@ def run_parallel(
     for outcome in ordered:
         ingest_quietly(_experiment_record(outcome, profile))
 
-    merged = telemetry.merge_snapshots(o.metrics for o in ordered)
-    if telemetry.metrics.enabled:
-        telemetry.metrics.ingest_snapshot(merged)
-
     hits = sum(1 for o in ordered if o.cached)
     return ParallelRun(
         outcomes=ordered,
@@ -247,5 +237,4 @@ def run_parallel(
         wall_seconds=time.time() - started,
         cache_hits=hits,
         cache_misses=len(ordered) - hits,
-        merged_metrics=merged,
     )

@@ -111,3 +111,9 @@ class NPUConfig:
     def scrub_cycles(self, lines: int) -> float:
         """Cycles to zero *lines* scratchpad lines during a flush."""
         return lines / self.scrub_lines_per_cycle
+
+    @property
+    def flush_cycles(self) -> float:
+        """Cycles of one whole-scratchpad flush at a protection-domain
+        switch: scrub every line, then pay the context switch."""
+        return self.scrub_cycles(self.spad_lines) + self.context_switch_cycles

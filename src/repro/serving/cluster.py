@@ -671,10 +671,7 @@ class ClusterSimulator:
         # change protection domain with P = 1 - sum p_t^2 (temporal pays
         # scrub + context switch), and change world with the analogous
         # probability (both sharing axes pay one context switch).
-        switch_cost = (
-            self.config.scrub_cycles(self.config.spad_lines)
-            + self.config.context_switch_cycles
-        )
+        switch_cost = self.config.flush_cycles
         world_cost = float(self.config.context_switch_cycles)
         p_domain = _collision_prob(tenant_rates)
         p_world = _collision_prob(list(world_rates.values()))

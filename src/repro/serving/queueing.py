@@ -339,14 +339,6 @@ class ServeSimulator:
         self._h_latency = tel.histogram("latency_cycles")
 
     # ------------------------------------------------------------------
-    @property
-    def switch_cost(self) -> float:
-        """Scrub + context-switch cycles of one protection-domain flush."""
-        return (
-            self.config.scrub_cycles(self.config.spad_lines)
-            + self.config.context_switch_cycles
-        )
-
     def run(self) -> ServeOutcome:
         requests = generate(
             self.scenario, rps=self.rps, duration_ms=self.duration_ms,
@@ -367,7 +359,7 @@ class ServeSimulator:
                 tenant_names=list(self._tenant_order),
                 window_ms=self.window_ms,
                 cycles_per_ms=self.config.freq_ghz * 1e6,
-                switch_cost=self.switch_cost,
+                switch_cost=self.config.flush_cycles,
                 world_cost=float(self.config.context_switch_cycles),
             )
             if audit.enabled:
@@ -467,7 +459,7 @@ class ServeSimulator:
             key: self.scheduler.quanta(model, granularity, flushed=True)
             for key, model in self.models.items()
         }
-        switch_cost = self.switch_cost
+        switch_cost = self.config.flush_cycles
         world_cost = float(self.config.context_switch_cycles)
         windows = self.windows
         arrivals: Deque[Request] = deque(requests)

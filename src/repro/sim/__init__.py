@@ -3,7 +3,7 @@
 from repro.sim import fastpath
 from repro.sim.clock import Clock
 from repro.sim.engine import SimEngine, Event
-from repro.sim.resources import BandwidthResource, PipelineModel, StageTimes
+from repro.sim.resources import BandwidthResource
 from repro.sim.worker import init_worker, seed_rngs, stable_seed
 
 __all__ = [
@@ -11,8 +11,6 @@ __all__ = [
     "SimEngine",
     "Event",
     "BandwidthResource",
-    "PipelineModel",
-    "StageTimes",
     "fastpath",
     "init_worker",
     "seed_rngs",

@@ -417,7 +417,6 @@ def _replay_paging(core, fold: _Fold, pte_map, share: float,
     stats = dma.stats
     hist = dma._h_transfer
     h_count = hist.count
-    h_epoch = hist._epoch_count
     h_total = hist.total
     h_min = hist.min
     h_max = hist.max
@@ -487,7 +486,6 @@ def _replay_paging(core, fold: _Fold, pte_map, share: float,
             cursor += cycles
             # Inlined hist.observe(cycles, cycle=cursor):
             h_count += 1
-            h_epoch += 1
             h_total += cycles
             if h_min is None or cycles < h_min:
                 h_min = cycles
@@ -498,9 +496,9 @@ def _replay_paging(core, fold: _Fold, pte_map, share: float,
             elif max_samples > 0:
                 # Inlined Random.randrange -> _randbelow_with_getrandbits:
                 # identical getrandbits call sequence, identical draws.
-                k = h_epoch.bit_length()
+                k = h_count.bit_length()
                 slot = getrandbits(k)
-                while slot >= h_epoch:
+                while slot >= h_count:
                     slot = getrandbits(k)
                 if slot < max_samples:
                     samples[slot] = (cursor, cycles)
@@ -536,7 +534,6 @@ def _replay_paging(core, fold: _Fold, pte_map, share: float,
             cursor += cycles
             # Inlined hist.observe(cycles, cycle=cursor):
             h_count += 1
-            h_epoch += 1
             h_total += cycles
             if h_min is None or cycles < h_min:
                 h_min = cycles
@@ -547,9 +544,9 @@ def _replay_paging(core, fold: _Fold, pte_map, share: float,
             elif max_samples > 0:
                 # Inlined Random.randrange -> _randbelow_with_getrandbits:
                 # identical getrandbits call sequence, identical draws.
-                k = h_epoch.bit_length()
+                k = h_count.bit_length()
                 slot = getrandbits(k)
-                while slot >= h_epoch:
+                while slot >= h_count:
                     slot = getrandbits(k)
                 if slot < max_samples:
                     samples[slot] = (cursor, cycles)
@@ -591,7 +588,6 @@ def _replay_paging(core, fold: _Fold, pte_map, share: float,
         # The null histogram's observe() is a no-op: leave the shared
         # singleton untouched, exactly like the event path does.
         hist.count = h_count
-        hist._epoch_count = h_epoch
         hist.total = h_total
         hist.min = h_min
         hist.max = h_max

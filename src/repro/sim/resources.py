@@ -1,16 +1,6 @@
-"""Analytic resource models used by the NPU pipeline timing model.
-
-The NPU core (``repro.npu.core``) does not simulate cycle-by-cycle; it
-computes per-tile-iteration stage times and composes them with a
-double-buffered pipeline model, which is how Gemmini actually overlaps its
-``mvin``/``compute``/``mvout`` streams.  These helpers keep the arithmetic
-in one audited place.
-"""
+"""Analytic shared-resource models of the simulation kernel."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Iterable, Optional
 
 from repro.errors import ConfigError, SimulationError
 
@@ -53,56 +43,3 @@ class BandwidthResource:
         self._free_at = 0.0
         self.busy_cycles = 0.0
         self.bytes_moved = 0.0
-
-
-@dataclass(frozen=True)
-class StageTimes:
-    """Per-iteration stage latencies of the NPU execute loop (in cycles)."""
-
-    load: float
-    compute: float
-    store: float
-
-    def __post_init__(self) -> None:
-        if min(self.load, self.compute, self.store) < 0:
-            raise ConfigError(f"negative stage time: {self}")
-
-
-class PipelineModel:
-    """Double-buffered three-stage pipeline (load / compute / store).
-
-    With double buffering, steady-state throughput is limited by the slowest
-    stage; the pipeline additionally pays a fill cost of the first load and
-    a drain cost of the last store.  ``total_cycles`` folds an iterable of
-    per-iteration :class:`StageTimes` into an end-to-end latency.
-
-    This matches Gemmini's behaviour: the DMA engine prefetches the next
-    tile while the systolic array computes on the current one, and results
-    stream out through the store queue.
-    """
-
-    @staticmethod
-    def total_cycles(iterations: Iterable[StageTimes]) -> float:
-        total = 0.0
-        serial = 0.0
-        first_load: Optional[float] = None
-        last_store = 0.0
-        for stage in iterations:
-            if first_load is None:
-                first_load = stage.load
-            total += max(stage.load, stage.compute, stage.store)
-            serial += stage.load + stage.compute + stage.store
-            last_store = stage.store
-        if first_load is None:
-            return 0.0
-        # The first load is exposed (nothing overlaps it) and the last
-        # store drains after the final compute.  For very short pipelines
-        # the fill/drain terms can overcharge past plain serial execution,
-        # which overlap can never do — cap at serial.
-        return min(total + first_load + last_store, serial)
-
-    @staticmethod
-    def serial_cycles(iterations: Iterable[StageTimes]) -> float:
-        """Latency with no overlap at all (used by the flush baseline when a
-        context switch forbids prefetching across the boundary)."""
-        return sum(s.load + s.compute + s.store for s in iterations)

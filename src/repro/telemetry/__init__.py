@@ -42,7 +42,6 @@ from repro.telemetry.metrics import (
     NULL_GAUGE,
     NULL_HISTOGRAM,
     NULL_SET,
-    merge_snapshots,
 )
 from repro.telemetry.profiler import (
     CATEGORIES,
@@ -50,7 +49,6 @@ from repro.telemetry.profiler import (
     CycleProfiler,
     LayerAttribution,
     RunProfile,
-    merge_profile_snapshots,
     split_exact,
 )
 from repro.telemetry.sentinel import (
@@ -70,7 +68,6 @@ from repro.telemetry.trace import TraceRecorder
 from repro.telemetry.windows import (
     TumblingCounter,
     WindowReservoir,
-    merge_bucket_maps,
     sliding_sum,
     window_of,
 )
@@ -95,14 +92,11 @@ __all__ = [
     "NULL_GAUGE",
     "NULL_HISTOGRAM",
     "NULL_SET",
-    "merge_snapshots",
-    "merge_profile_snapshots",
     "split_exact",
     "TumblingCounter",
     "WindowReservoir",
     "window_of",
     "sliding_sum",
-    "merge_bucket_maps",
     "SLOSpec",
     "SLOObjective",
     "SLOReport",

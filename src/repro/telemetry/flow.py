@@ -58,9 +58,6 @@ class StageSpan:
     def total(self) -> Fraction:
         return self.queueing + self.service + self.security
 
-    def component(self, name: str) -> Fraction:
-        return getattr(self, name)
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "stage": self.stage,

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import random
 import zlib
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 Number = Union[int, float]
 
@@ -95,7 +95,7 @@ class Histogram:
     """
 
     __slots__ = ("name", "count", "total", "min", "max", "samples",
-                 "max_samples", "epoch", "_epoch_count", "_rng")
+                 "max_samples", "epoch", "_rng")
 
     def __init__(self, name: str, max_samples: int = 1024, epoch: int = 0):
         self.name = name
@@ -108,8 +108,6 @@ class Histogram:
         self.samples: List[Tuple[float, float]] = []
         #: Reservoir epoch (0 = the whole-run default).
         self.epoch = int(epoch)
-        #: Observations within the current epoch (drives Algorithm R).
-        self._epoch_count = 0
         self._rng = random.Random(self._seed_for(self.epoch))
 
     def _seed_for(self, epoch: int) -> int:
@@ -122,7 +120,6 @@ class Histogram:
     def observe(self, value: Number, cycle: float = 0.0) -> None:
         value = float(value)
         self.count += 1
-        self._epoch_count += 1
         self.total += value
         if self.min is None or value < self.min:
             self.min = value
@@ -131,9 +128,8 @@ class Histogram:
         if len(self.samples) < self.max_samples:
             self.samples.append((float(cycle), value))
         elif self.max_samples > 0:
-            # Algorithm R: replace a random resident with p = k/n, where
-            # n counts observations of the *current epoch* only.
-            slot = self._rng.randrange(self._epoch_count)
+            # Algorithm R: replace a random resident with p = k/n.
+            slot = self._rng.randrange(self.count)
             if slot < self.max_samples:
                 self.samples[slot] = (float(cycle), value)
 
@@ -176,7 +172,6 @@ class Histogram:
         self.max = None
         self.samples.clear()
         self.epoch = 0
-        self._epoch_count = 0
         # Reseed so a reset histogram replays identically.
         self._rng = random.Random(self._seed_for(0))
 
@@ -309,69 +304,6 @@ class _NullMetricSet(MetricSet):
 NULL_SET = _NullMetricSet()
 
 
-def merge_snapshots(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
-    """Combine per-process snapshot dicts into one registry-style view.
-
-    Snapshots are the flat ``name -> scalar`` dicts produced by
-    :meth:`MetricsRegistry.snapshot`; they are plain JSON, so they cross
-    process boundaries (the parallel experiment runner ships one back
-    from every worker).  Merge semantics follow the metric kind encoded
-    in the name:
-
-    * ``*.min`` — minimum across snapshots,
-    * ``*.max`` — maximum across snapshots,
-    * ``*.mean`` — recomputed from the merged ``.sum`` / ``.count``
-      siblings when both exist, else the plain average,
-    * ``*.p50`` / ``*.p99`` — upper bound (maximum) across snapshots;
-      exact cross-process percentiles would need the raw samples,
-    * any other numeric value — summed (counters, counts, sums,
-      bound attribute totals),
-    * non-numeric values — first occurrence wins.
-
-    Edge cases handled explicitly: an empty iterable (or one containing
-    only empty/None snapshots) merges to ``{}``, and histogram stats from
-    snapshots whose sibling ``.count`` is zero are ignored for
-    ``.min``/``.max``/``.p50``/``.p99`` so an idle process's default
-    ``0.0`` never pollutes the merged extrema.
-    """
-    snaps = [snap for snap in snapshots if snap]
-    if not snaps:
-        return {}
-    occurrences: Dict[str, List[Tuple[Dict[str, Any], Any]]] = {}
-    for snap in snaps:
-        for name, value in snap.items():
-            occurrences.setdefault(name, []).append((snap, value))
-
-    def _live(snap: Dict[str, Any], base: str) -> bool:
-        """False only when the sibling histogram count says "no samples"."""
-        count = snap.get(f"{base}.count")
-        return not (isinstance(count, (int, float)) and count == 0)
-
-    merged: Dict[str, Any] = {}
-    for name, pairs in occurrences.items():
-        numbers = [v for _snap, v in pairs if isinstance(v, (int, float))]
-        if len(numbers) != len(pairs):
-            merged[name] = pairs[0][1]  # non-numeric: first occurrence wins
-            continue
-        if name.endswith((".min", ".max", ".p50", ".p99")):
-            base = name.rsplit(".", 1)[0]
-            pool = [v for snap, v in pairs if _live(snap, base)] or numbers
-            merged[name] = min(pool) if name.endswith(".min") else max(pool)
-        elif name.endswith(".mean"):
-            merged[name] = sum(numbers) / len(numbers)  # recomputed below
-        else:
-            merged[name] = sum(numbers)
-    for name in list(merged):
-        if not name.endswith(".mean"):
-            continue
-        base = name[: -len(".mean")]
-        total = merged.get(f"{base}.sum")
-        count = merged.get(f"{base}.count")
-        if isinstance(total, (int, float)) and isinstance(count, (int, float)):
-            merged[name] = total / count if count else 0.0
-    return dict(sorted(merged.items()))
-
-
 class MetricsRegistry:
     """Hierarchy of :class:`MetricSet` groups (one per telemetry scope)."""
 
@@ -379,9 +311,6 @@ class MetricsRegistry:
         self.enabled = enabled
         self._groups: Dict[str, MetricSet] = {}
         self._prefix_counts: Dict[str, int] = {}
-        #: Snapshot values ingested from other processes (see
-        #: :meth:`ingest_snapshot`); merged into :meth:`snapshot`.
-        self._external: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     def group(self, prefix: str) -> MetricSet:
@@ -401,21 +330,11 @@ class MetricsRegistry:
         return group
 
     # ------------------------------------------------------------------
-    def ingest_snapshot(self, snapshot: Dict[str, Any]) -> None:
-        """Fold a foreign snapshot (e.g. from a pool worker) into this
-        registry's view, using :func:`merge_snapshots` semantics against
-        anything previously ingested.  Live local groups stay live; the
-        merged view appears in :meth:`snapshot`."""
-        self._external = merge_snapshots([self._external, snapshot])
-
     def snapshot(self) -> Dict[str, Any]:
-        """Flat, name-sorted ``metric -> value`` view of everything live
-        plus everything ingested from other processes."""
+        """Flat, name-sorted ``metric -> value`` view of everything live."""
         out: Dict[str, Any] = {}
         for group in self._groups.values():
             out.update(group.collect())
-        if self._external:
-            out = merge_snapshots([self._external, out])
         return dict(sorted(out.items()))
 
     def to_json(self, indent: int = 2) -> str:

@@ -19,8 +19,8 @@ enforced *by construction*:
 * All attributed quantities are stored as exact rationals
   (:class:`fractions.Fraction` of the IEEE-754 cycle values), so sums
   are associative: per-layer attributions convert back to the *bit-exact*
-  layer cycle count, and cross-process snapshot merges are independent of
-  merge order (``--jobs 1`` and ``--jobs 4`` produce identical ledgers).
+  layer cycle count, and two runs' ledgers subtract exactly
+  (:func:`repro.analysis.diagnose.diagnose_profiles`).
 
 Category tree (leaves are what gets cycles; roots are report roll-ups)::
 
@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: Root -> leaf-suffixes of the attribution category tree.  ``idle`` has
 #: no leaves: it is itself a leaf.
@@ -307,49 +307,11 @@ class CycleProfiler:
             out[root] = out.get(root, _ZERO) + cycles
         return out
 
-    # ------------------------------------------------------------------
-    # Cross-process snapshots (exact, order-independent merges)
-    # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        """JSON-portable view: exact categories + counts.
-
-        Fractions serialize as ``"numerator/denominator"`` strings so the
-        merge on the other side stays exact.
-        """
-        return {
-            "categories": {
-                name: f"{value.numerator}/{value.denominator}"
-                for name, value in sorted(self.categories.items())
-            },
-            "counts": dict(sorted(self.counts.items())),
-        }
-
-    def ingest_snapshot(self, snapshot: Dict[str, Any]) -> None:
-        """Fold a foreign snapshot into this ledger (rational addition is
-        associative and commutative, so ingest order cannot matter)."""
-        for name, encoded in (snapshot.get("categories") or {}).items():
-            self.categories[name] = (
-                self.categories.get(name, _ZERO) + parse_fraction(encoded)
-            )
-        for name, value in (snapshot.get("counts") or {}).items():
-            self.counts[name] = self.counts.get(name, 0) + int(value)
-
 
 def parse_fraction(encoded: Any) -> Fraction:
-    """Inverse of the snapshot encoding (accepts numbers too)."""
+    """Parse a ``"numerator/denominator"`` string (numbers pass too)."""
     if isinstance(encoded, Fraction):
         return encoded
     if isinstance(encoded, str):
         return Fraction(encoded)
     return Fraction(float(encoded))
-
-
-def merge_profile_snapshots(
-    snapshots: Iterable[Dict[str, Any]],
-) -> Dict[str, Any]:
-    """Merge profiler snapshots into one (exact; order-independent)."""
-    merged = CycleProfiler(enabled=True)
-    for snap in snapshots:
-        if snap:
-            merged.ingest_snapshot(snap)
-    return merged.snapshot()

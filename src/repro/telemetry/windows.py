@@ -24,26 +24,23 @@ Three primitives:
   estimation.  Each window gets its own
   :class:`~repro.telemetry.metrics.Histogram`, built at epoch = window
   index, so percentiles never mix samples across a window boundary and
-  the retained sample set is deterministic per ``(name, window)`` no
-  matter how the run was parallelised.  Its value mass is held exactly, as an
-  integer count of ``2**-1074`` units (every float is a whole number of
-  them), so no observation builds a Fraction.
+  the retained sample set is deterministic per ``(name, window)``.  Its
+  value mass is held exactly, as an integer count of ``2**-1074`` units
+  (every float is a whole number of them), so no observation builds a
+  Fraction.
 
 Window indices are integer floors over exact integer ratios
 (:func:`window_of`), so bucketing builds no Fraction either.
 
 Determinism contract: window boundaries depend only on the event's
-cycle stamp and the window size — not on feed order, chunking, or how
-many worker processes produced the events.  :meth:`TumblingCounter.ingest`
-merges per-worker partials into the identical bucket map a single
-process would have produced (property-tested in
-``tests/property/test_property_windows.py``).
+cycle stamp and the window size, never on feed order (property-tested
+in ``tests/property/test_property_windows.py``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, Optional, Union
 
 from repro.errors import ConfigError, ReconciliationError
 from repro.telemetry.metrics import Histogram
@@ -122,25 +119,6 @@ class TumblingCounter:
         """Highest populated window index (-1 while empty)."""
         return max(self.buckets) if self.buckets else -1
 
-    def series(self, first: int = 0, last: Optional[int] = None) -> List[Exact]:
-        """Dense bucket values for windows ``first..last`` inclusive."""
-        if last is None:
-            last = self.last_window()
-        return [self.bucket(w) for w in range(first, last + 1)]
-
-    # ------------------------------------------------------------------
-    def ingest(self, buckets: Dict[int, Exact]) -> None:
-        """Merge a foreign partial bucket map (e.g. from a pool worker).
-
-        Merging is plain per-window addition, so any chunking of one
-        event stream across workers merges back to the identical bucket
-        map a single process would have produced.
-        """
-        for window, amount in buckets.items():
-            exact = _exact(amount)
-            self.buckets[window] = self.buckets.get(window, 0) + exact
-            self.total += exact
-
     # ------------------------------------------------------------------
     def reconcile(self, expected_total: Number) -> None:
         """Raise unless the window partials sum exactly to *expected_total*.
@@ -183,8 +161,7 @@ class WindowReservoir:
 
     One :class:`~repro.telemetry.metrics.Histogram` per populated
     window, built at epoch = window index, so the retained reservoir is
-    a pure function of ``(name, window, observed values)`` — feed order
-    and process count cannot perturb it.  Alongside the reservoir an
+    a pure function of ``(name, window, observed values)``.  Alongside the reservoir an
     exact sum/count per window is kept (the sum of the observed floats,
     as integer 2**-1074 units), so latency mass reconciles exactly with
     end-of-run totals even when the reservoir itself is capped.
@@ -276,14 +253,3 @@ def fraction_to_jsonable(value: Exact) -> Union[int, float]:
     if value.denominator == 1:
         return int(value)
     return float(value)
-
-
-def merge_bucket_maps(
-    maps: Iterable[Dict[int, Exact]],
-) -> Dict[int, Exact]:
-    """Merge several sparse bucket maps by exact per-window addition."""
-    merged: Dict[int, Exact] = {}
-    for bucket_map in maps:
-        for window, amount in bucket_map.items():
-            merged[window] = merged.get(window, 0) + _exact(amount)
-    return merged

@@ -181,8 +181,8 @@ EXITS = [
          "unknown model 'nonesuch'"),
     _row("flows-unknown-model", "flows nonesuch", 2,
          "unknown model 'nonesuch'"),
-    _row("profile-unknown-diff-base", "profile resnet --diff warp9", 2,
-         "unknown protection 'warp9' for --diff"),
+    _row("diagnose-unknown-protection", "diagnose resnet --a warp9 --b snpu",
+         2, "unknown protection 'warp9'"),
     _row("audit-unknown-protection", "audit warp9", 2,
          "unknown protection 'warp9'"),
     _row("stats-unknown-format",

@@ -46,7 +46,7 @@ def _golden_path(exp_id: str) -> str:
 
 def _snapshot(exp_id: str):
     """Fresh run of *exp_id*, reduced to its figure data (no metrics)."""
-    results = run_one(exp_id, PROFILE, outdir=None)
+    results = run_one(exp_id, PROFILE)
     payloads = []
     for result in results:
         payload = export.to_dict(result)

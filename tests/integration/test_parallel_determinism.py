@@ -53,16 +53,11 @@ class TestSerialVsParallel:
         ]
         assert _figure_data(serial) == _figure_data(pooled)
         assert serial.outcomes[0].metrics  # telemetry actually captured
+        assert sum(
+            c.get("sim.engine.events_fired", 0) for c in _counters(serial)
+        ) > 0
         assert _counters(serial) == _counters(pooled)
         assert pooled.cache_hits == 0 and serial.cache_hits == 0
-
-    def test_merged_metrics_sum_counters(self):
-        run = run_parallel(IDS, profile=PROFILE, jobs=2, use_cache=False)
-        per_exp = sum(
-            o.metrics.get("sim.engine.events_fired", 0) for o in run.outcomes
-        )
-        assert per_exp > 0
-        assert run.merged_metrics["sim.engine.events_fired"] == per_exp
 
 
 class TestCacheRoundTrip:

@@ -265,8 +265,8 @@ def _core_state(core) -> dict:
         busy=core.systolic.busy_cycles,
         macs_done=core.systolic.macs_done,
         check_stats=vars(ctrl.stats).copy(),
-        histogram=(hist.count, hist._epoch_count, hist.total, hist.min,
-                   hist.max, list(hist.samples), hist._rng.getstate()),
+        histogram=(hist.count, hist.total, hist.min, hist.max,
+                   list(hist.samples), hist._rng.getstate()),
     )
     if isinstance(ctrl, IOMMU):
         state["iotlb"] = (

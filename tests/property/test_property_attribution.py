@@ -3,13 +3,10 @@
 Acceptance criterion of the profiler: for every zoo workload under every
 protection mode, the attributed categories partition the simulated cycle
 count **exactly** — per layer, bit-exact (`float(sum(parts)) == cycles`);
-per run, to within sequential-float-summation noise (`rel_tol=1e-9`) —
-and cross-process snapshot merges are bit-identical regardless of merge
-order (``--jobs 1`` vs ``--jobs 4``).
+per run, to within sequential-float-summation noise (`rel_tol=1e-9`).
 """
 
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.telemetry.profiler import merge_profile_snapshots, split_exact
+from repro.telemetry.profiler import split_exact
 from repro.soc import SoC, SoCConfig
 from repro.workloads import zoo
 
@@ -46,14 +43,13 @@ def _run_profiled(model_name, protection, detailed, secure=False):
         finally:
             soc.release(handle)
         run = scope.profiler.runs[-1]
-        snapshot = scope.profiler.snapshot()
-    return result, run, snapshot
+    return result, run
 
 
 @pytest.mark.parametrize("protection", PROTECTIONS)
 @pytest.mark.parametrize("model_name", WORKLOADS)
 def test_attribution_exact_analytic(model_name, protection):
-    result, run, _ = _run_profiled(model_name, protection, detailed=False)
+    result, run = _run_profiled(model_name, protection, detailed=False)
     for lay, res in zip(run.layers, result.layers):
         assert sum(lay.parts.values(), ZERO) == lay.total
         assert float(lay.total) == res.cycles  # bit-exact per layer
@@ -63,7 +59,7 @@ def test_attribution_exact_analytic(model_name, protection):
 @pytest.mark.parametrize("protection", PROTECTIONS)
 @pytest.mark.parametrize("model_name", ["resnet", "mobilenet", "alexnet"])
 def test_attribution_exact_detailed(model_name, protection):
-    result, run, _ = _run_profiled(
+    result, run = _run_profiled(
         model_name, protection, detailed=True,
         secure=(protection != "none"),
     )
@@ -72,20 +68,6 @@ def test_attribution_exact_detailed(model_name, protection):
         assert sum(lay.parts.values(), ZERO) == lay.total
         assert float(lay.total) == res.cycles
     assert math.isclose(float(run.total()), result.cycles, rel_tol=1e-9)
-
-
-def test_snapshot_merge_order_bit_identical():
-    """jobs=1 (sequential ingest) == jobs=4 (arbitrary arrival order)."""
-    snaps = [
-        _run_profiled(name, prot, detailed=False)[2]
-        for name in ("resnet", "mobilenet", "alexnet", "yololite")
-        for prot in ("none", "snpu")
-    ]
-    sequential = merge_profile_snapshots(snaps)
-    for seed in range(5):
-        shuffled = list(snaps)
-        random.Random(seed).shuffle(shuffled)
-        assert merge_profile_snapshots(shuffled) == sequential
 
 
 @given(
@@ -108,24 +90,3 @@ def test_split_exact_always_partitions(total, claims):
     assert all(v > ZERO for v in out.values())
     # No part can exceed the enclosing interval.
     assert all(v <= Fraction(total) for v in out.values())
-
-
-@given(seeds=st.lists(st.integers(0, 2**16), min_size=0, max_size=6),
-       order=st.randoms())
-@settings(max_examples=100, deadline=None)
-def test_merge_profile_snapshots_commutes(seeds, order):
-    from repro.telemetry.profiler import CycleProfiler
-
-    snaps = []
-    for seed in seeds:
-        rng = random.Random(seed)
-        p = CycleProfiler(enabled=True)
-        for i in range(rng.randrange(0, 4)):
-            p.layer(f"l{i}", i, rng.uniform(0, 1e9),
-                    [("pe.compute", rng.uniform(0, 1e9))])
-        p.count("iotlb.walks", rng.randrange(0, 9))
-        snaps.append(p.snapshot())
-    merged = merge_profile_snapshots(snaps)
-    shuffled = list(snaps)
-    order.shuffle(shuffled)
-    assert merge_profile_snapshots(shuffled) == merged

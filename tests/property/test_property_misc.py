@@ -10,7 +10,6 @@ from repro.memory.pagetable import PageTableEntry
 from repro.mmu.iommu import IOTLB
 from repro.monitor.crypto import mac, measure, stream_cipher, verify_mac
 from repro.noc.mesh import Mesh
-from repro.sim.resources import PipelineModel, StageTimes
 
 
 # ----------------------------------------------------------------------
@@ -136,27 +135,3 @@ def test_measurement_deterministic(blob):
     assert measure(blob) == measure(blob)
     assert len(measure(blob)) == 32
 
-
-# ----------------------------------------------------------------------
-# Pipeline model
-# ----------------------------------------------------------------------
-@given(
-    st.lists(
-        st.tuples(
-            st.floats(0, 1e4), st.floats(0, 1e4), st.floats(0, 1e4)
-        ),
-        min_size=1,
-        max_size=50,
-    )
-)
-@settings(max_examples=200, deadline=None)
-def test_pipeline_bounds(stage_tuples):
-    stages = [StageTimes(*t) for t in stage_tuples]
-    total = PipelineModel.total_cycles(stages)
-    serial = PipelineModel.serial_cycles(stages)
-    # Pipelining never loses to fully serial execution...
-    assert total <= serial + 1e-6
-    # ...and can never beat any single stream's total work.
-    assert total >= sum(s.load for s in stages) - 1e-6
-    assert total >= sum(s.compute for s in stages) - 1e-6
-    assert total >= sum(s.store for s in stages) - 1e-6

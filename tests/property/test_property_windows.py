@@ -5,9 +5,7 @@ Two invariants back the whole observability layer:
 * **Reconciliation** — per-window partial sums equal the end-of-run
   total, exactly (ints and :class:`fractions.Fraction`, never float),
   for any event stream.
-* **Feed-independence** — bucket maps do not depend on feed order or on
-  how the stream was chunked across workers (``--jobs`` must not move a
-  window boundary).
+* **Feed-independence** — bucket maps do not depend on feed order.
 
 ``window_of`` itself is checked against its exact-rational definition,
 ``floor(Fraction(cycle) / Fraction(window_cycles))``, on boundaries,
@@ -25,7 +23,6 @@ from repro.errors import ConfigError
 from repro.telemetry.windows import (
     TumblingCounter,
     WindowReservoir,
-    merge_bucket_maps,
     sliding_sum,
     window_of,
 )
@@ -59,25 +56,6 @@ def test_window_partials_reconcile_exactly(stream, window_cycles):
         total += Fraction(amount)
     counter.reconcile(total)
     assert sum(counter.buckets.values(), Fraction(0)) == total
-
-
-@given(events, window_sizes, st.integers(1, 8))
-@settings(max_examples=100, deadline=None)
-def test_chunked_ingest_equals_single_feed(stream, window_cycles, jobs):
-    """Splitting the stream across N workers and merging their partials
-    reproduces the single-process bucket map — the --jobs invariant."""
-    serial = TumblingCounter("x", window_cycles)
-    for cycle, amount in stream:
-        serial.add(cycle, amount)
-
-    workers = [TumblingCounter("x", window_cycles) for _ in range(jobs)]
-    for i, (cycle, amount) in enumerate(stream):
-        workers[i % jobs].add(cycle, amount)
-
-    merged = TumblingCounter("x", window_cycles)
-    merged.ingest(merge_bucket_maps(w.buckets for w in workers))
-    assert merged.buckets == serial.buckets
-    assert merged.total == serial.total
 
 
 @given(events, window_sizes)

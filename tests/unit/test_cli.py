@@ -137,11 +137,11 @@ class TestProfileCommand:
         assert "pe.compute" in out
         assert "total" in out
 
-    def test_profile_diff_baseline(self, capsys):
-        assert main(["profile", "resnet", "--analytic", "--input-size", "56",
-                     "--protection", "snpu", "--diff", "baseline"]) == 0
+    def test_diagnose_baseline_vs_snpu(self, capsys):
+        assert main(["diagnose", "resnet", "--analytic", "--input-size", "56",
+                     "--a", "baseline", "--b", "snpu"]) == 0
         out = capsys.readouterr().out
-        assert "snpu vs none" in out
+        assert "resnet:none -> resnet:snpu" in out
         assert "end-to-end" in out
 
     def test_profile_folded_to_file(self, tmp_path, capsys):

@@ -1,12 +1,10 @@
-"""Unit tests for experiment export (JSON/CSV)."""
+"""Unit tests for experiment export (JSON)."""
 
-import csv
-import io
 import json
 
 import pytest
 
-from repro.experiments.export import to_csv, to_dict, to_json, write
+from repro.experiments.export import to_dict, to_json, write
 from repro.experiments.runner import ExperimentResult
 
 
@@ -31,19 +29,10 @@ class TestExport:
         assert parsed["columns"] == ["workload", "value"]
         assert len(parsed["rows"]) == 2
 
-    def test_csv(self, result):
-        rows = list(csv.DictReader(io.StringIO(to_csv(result))))
-        assert rows[0]["workload"] == "a"
-        assert float(rows[1]["value"]) == 2.5
-
-    @pytest.mark.parametrize("ext", ["json", "csv", "txt"])
-    def test_write(self, result, tmp_path, ext):
-        path = tmp_path / f"out.{ext}"
+    def test_write(self, result, tmp_path):
+        path = tmp_path / "out.json"
         write(result, str(path))
-        content = path.read_text()
-        assert "workload" in content
-        if ext == "json":
-            json.loads(content)
+        assert json.loads(path.read_text()) == to_dict(result)
 
     def test_real_experiment_exports(self):
         from repro.experiments import fig16
@@ -51,4 +40,4 @@ class TestExport:
         result = fig16.run(sizes=(1, 16))
         parsed = json.loads(to_json(result))
         assert parsed["exp_id"] == "fig16"
-        assert to_csv(result).count("\n") >= 3
+        assert len(parsed["rows"]) == 2

@@ -6,18 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from repro.analysis.profile import (
-    ModelProfile,
-    diff_profiles,
-    from_dict,
-    profile_host,
-    profile_model,
-)
-from repro.experiments.export import (
-    render_profile,
-    write_profile,
-    write_profile_diff,
-)
+from repro.analysis.diagnose import diagnose_profiles
+from repro.analysis.profile import from_dict, profile_host, profile_model
 from repro.workloads import zoo
 
 ZERO = Fraction(0)
@@ -88,71 +78,48 @@ class TestModelProfile:
         assert "Hottest layers" in report
 
 
-class TestProfileDiff:
-    def test_deltas_sum_exactly_to_end_to_end_overhead(self, profiles):
+class TestDiagnosis:
+    """``diagnose MODEL --a none --b PROT``: the per-mechanism overhead
+    decomposition behind Fig. 13."""
+
+    def test_parts_sum_exactly_to_end_to_end_overhead(self, profiles):
         """Fig. 13 corroboration: the per-mechanism deltas *are* the
         end-to-end overhead, decomposed — bit-for-bit."""
         for other in ("trustzone", "snpu"):
-            diff = diff_profiles(profiles["none"], profiles[other])
-            assert sum(diff.deltas.values(), ZERO) == diff.total_delta
+            diagnosis = diagnose_profiles(profiles["none"], profiles[other])
+            assert sum(
+                (p.delta for p in diagnosis.parts), ZERO
+            ) == diagnosis.total_delta
             assert (
-                diff.total_delta
+                diagnosis.total_delta
                 == profiles[other].total - profiles["none"].total
             )
 
     def test_snpu_overhead_is_negligible(self, profiles):
         """The paper's headline claim: sNPU protection costs <1%."""
-        diff = diff_profiles(profiles["none"], profiles["snpu"])
-        assert abs(diff.overhead) < 0.01
+        diagnosis = diagnose_profiles(profiles["none"], profiles["snpu"])
+        assert abs(diagnosis.total_delta / diagnosis.total_a) < 0.01
 
     def test_trustzone_overhead_dominated_by_iotlb_stalls(self, profiles):
         """Fig. 13 shape: the TrustZone-style baseline pays real overhead,
         and exposed IOMMU page-walk stalls are the dominant mechanism."""
-        diff = diff_profiles(profiles["none"], profiles["trustzone"])
-        assert diff.overhead > 0.05
-        dominant = max(diff.deltas, key=lambda c: diff.deltas[c])
-        assert dominant == "dma.stall.iotlb"
-
-    def test_diff_json_preserves_exact_deltas(self, profiles):
-        diff = diff_profiles(profiles["none"], profiles["trustzone"])
-        payload = json.loads(diff.to_json())
-        total = sum(
-            Fraction(v) for v in payload["deltas_exact"].values()
+        diagnosis = diagnose_profiles(
+            profiles["none"], profiles["trustzone"]
         )
-        assert total == Fraction(payload["total_delta_exact"])
+        assert diagnosis.total_delta / diagnosis.total_a > 0.05
+        dominant = max(diagnosis.parts, key=lambda p: p.delta)
+        assert dominant.name == "dma.stall.iotlb"
 
-    def test_diff_table_renders_both_flavors(self, profiles):
-        diff = diff_profiles(profiles["none"], profiles["trustzone"])
-        plain = diff.to_table()
-        md = diff.to_table(markdown=True)
-        assert "end-to-end" in plain
-        assert md.startswith("##")
-        assert "| mechanism |" in md
-
-
-class TestExports:
-    def test_render_profile_formats(self, profiles):
-        profile = profiles["none"]
-        assert json.loads(render_profile(profile, "json"))
-        assert render_profile(profile, "folded") == profile.to_folded()
-        assert render_profile(profile, "md") == profile.to_markdown()
-        assert render_profile(profile, "table") == profile.to_table()
-
-    def test_write_profile_by_extension(self, profiles, tmp_path):
-        profile = profiles["snpu"]
-        for name in ("out.json", "out.folded", "out.md"):
-            path = tmp_path / name
-            write_profile(profile, str(path))
-            assert path.read_text()
-        restored = from_dict(json.loads((tmp_path / "out.json").read_text()))
-        assert restored.total == profile.total
-
-    def test_write_profile_diff(self, profiles, tmp_path):
-        diff = diff_profiles(profiles["none"], profiles["trustzone"])
-        write_profile_diff(diff, str(tmp_path / "d.json"))
-        write_profile_diff(diff, str(tmp_path / "d.md"))
-        assert json.loads((tmp_path / "d.json").read_text())
-        assert "| mechanism |" in (tmp_path / "d.md").read_text()
+    def test_json_preserves_exact_deltas(self, profiles):
+        diagnosis = diagnose_profiles(
+            profiles["none"], profiles["trustzone"]
+        )
+        payload = json.loads(diagnosis.to_json())
+        total = sum(
+            Fraction(part["delta_exact"]) for part in payload["parts"]
+        )
+        assert total == Fraction(payload["total"]["delta_exact"])
+        assert total == profiles["trustzone"].total - profiles["none"].total
 
 
 def test_profile_host_reports_hot_functions(model):

@@ -226,7 +226,8 @@ class TestTemporalAccounting:
     def test_flush_cycles_are_flushes_times_switch_cost(self, outcome):
         sim, out = outcome
         assert out.flushes > 0
-        assert out.flush_cycles == pytest.approx(out.flushes * sim.switch_cost)
+        assert out.flush_cycles == pytest.approx(
+            out.flushes * sim.config.flush_cycles)
 
     def test_world_cycles_are_switches_times_context_cost(self, outcome):
         sim, out = outcome

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigError, SimulationError
 from repro.sim.clock import Clock
 from repro.sim.engine import SimEngine
-from repro.sim.resources import BandwidthResource, PipelineModel, StageTimes
+from repro.sim.resources import BandwidthResource
 
 
 class TestClock:
@@ -191,33 +191,3 @@ class TestBandwidthResource:
             BandwidthResource(16).cycles_for(10, share=0)
         with pytest.raises(ConfigError):
             BandwidthResource(16).cycles_for(10, share=1.5)
-
-
-class TestPipelineModel:
-    def test_empty(self):
-        assert PipelineModel.total_cycles([]) == 0.0
-
-    def test_single_iteration_is_serial(self):
-        stages = [StageTimes(load=10, compute=20, store=5)]
-        # max + first load + last store
-        assert PipelineModel.total_cycles(stages) == 20 + 10 + 5
-
-    def test_steady_state_bound_by_slowest_stage(self):
-        stages = [StageTimes(load=10, compute=20, store=5)] * 100
-        total = PipelineModel.total_cycles(stages)
-        assert total == 100 * 20 + 10 + 5
-
-    def test_pipeline_never_beats_any_stage_sum(self):
-        stages = [StageTimes(load=i % 7, compute=i % 5, store=i % 3) for i in range(1, 50)]
-        total = PipelineModel.total_cycles(stages)
-        assert total >= sum(s.load for s in stages)
-        assert total >= sum(s.compute for s in stages)
-        assert total >= sum(s.store for s in stages)
-
-    def test_serial_is_slower_than_pipelined(self):
-        stages = [StageTimes(load=10, compute=10, store=10)] * 10
-        assert PipelineModel.serial_cycles(stages) > PipelineModel.total_cycles(stages)
-
-    def test_negative_stage_rejected(self):
-        with pytest.raises(ConfigError):
-            StageTimes(load=-1, compute=0, store=0)

@@ -277,82 +277,6 @@ class TestScoped:
             assert "i.n" not in outer.metrics.snapshot()
 
 
-class TestMergeSnapshots:
-    """Cross-process snapshot merging (parallel experiment runner)."""
-
-    def test_counters_sum(self):
-        merged = telemetry.merge_snapshots([
-            {"npu.dma.requests": 3},
-            {"npu.dma.requests": 4},
-        ])
-        assert merged == {"npu.dma.requests": 7}
-
-    def test_min_max_and_percentiles(self):
-        merged = telemetry.merge_snapshots([
-            {"a.lat.min": 1.0, "a.lat.max": 9.0, "a.lat.p99": 8.0},
-            {"a.lat.min": 0.5, "a.lat.max": 11.0, "a.lat.p99": 10.0},
-        ])
-        assert merged["a.lat.min"] == 0.5
-        assert merged["a.lat.max"] == 11.0
-        assert merged["a.lat.p99"] == 10.0
-
-    def test_mean_recomputed_from_sum_and_count(self):
-        merged = telemetry.merge_snapshots([
-            {"a.lat.count": 2, "a.lat.sum": 10.0, "a.lat.mean": 5.0},
-            {"a.lat.count": 8, "a.lat.sum": 30.0, "a.lat.mean": 3.75},
-        ])
-        assert merged["a.lat.count"] == 10
-        assert merged["a.lat.sum"] == 40.0
-        assert merged["a.lat.mean"] == 4.0
-
-    def test_orphan_mean_averages(self):
-        merged = telemetry.merge_snapshots([
-            {"a.util.mean": 0.4},
-            {"a.util.mean": 0.6},
-        ])
-        assert merged["a.util.mean"] == pytest.approx(0.5)
-
-    def test_disjoint_keys_union(self):
-        merged = telemetry.merge_snapshots([{"a.n": 1}, {"b.n": 2}])
-        assert merged == {"a.n": 1, "b.n": 2}
-
-    def test_non_numeric_first_wins(self):
-        merged = telemetry.merge_snapshots([
-            {"a.state": "ready"},
-            {"a.state": "busy"},
-        ])
-        assert merged["a.state"] == "ready"
-
-    def test_output_is_sorted(self):
-        merged = telemetry.merge_snapshots([{"z.n": 1, "a.n": 1}])
-        assert list(merged) == ["a.n", "z.n"]
-
-    def test_empty(self):
-        assert telemetry.merge_snapshots([]) == {}
-
-
-class TestIngestSnapshot:
-    def test_ingested_values_appear_in_snapshot(self):
-        reg = MetricsRegistry(enabled=True)
-        reg.ingest_snapshot({"w.counter": 5})
-        reg.ingest_snapshot({"w.counter": 7})
-        assert reg.snapshot()["w.counter"] == 12
-
-    def test_ingested_merges_with_live_groups(self):
-        reg = MetricsRegistry(enabled=True)
-        reg.group("w").counter("counter").inc(3)
-        reg.ingest_snapshot({"w.counter": 5, "other.n": 1})
-        snap = reg.snapshot()
-        assert snap["w.counter"] == 8
-        assert snap["other.n"] == 1
-
-    def test_scoped_isolates_ingested(self):
-        with telemetry.scoped(trace=False) as scope:
-            scope.metrics.ingest_snapshot({"w.n": 1})
-            assert scope.metrics.snapshot() == {"w.n": 1}
-        assert telemetry.metrics.snapshot() == {}
-
-
 class TestTraceRecorder:
     def test_disabled_records_nothing(self):
         rec = TraceRecorder(enabled=False)
@@ -467,47 +391,6 @@ class TestEndToEnd:
             tz.release(tz_handle)
             cats = set(scope.tracer.categories())
         assert {"dma", "iotlb", "guarder", "noc", "scheduler"} <= cats
-
-
-class TestMergeSnapshotsEdgeCases:
-    """Regression tests for merge edge cases (parallel runner)."""
-
-    def test_empty_snapshots_in_list_are_dropped(self):
-        merged = telemetry.merge_snapshots([{}, {"a.n": 1}, {}, {"a.n": 2}])
-        assert merged == {"a.n": 3}
-
-    def test_all_empty_returns_empty(self):
-        assert telemetry.merge_snapshots([{}, {}]) == {}
-
-    def test_zero_count_histogram_does_not_pollute_min(self):
-        """A worker whose histogram saw no samples reports min/max 0.0;
-        those placeholders must not win the cross-worker min/max."""
-        merged = telemetry.merge_snapshots([
-            {"a.lat.count": 0, "a.lat.min": 0.0, "a.lat.max": 0.0,
-             "a.lat.p99": 0.0},
-            {"a.lat.count": 4, "a.lat.min": 2.0, "a.lat.max": 9.0,
-             "a.lat.p99": 8.5},
-        ])
-        assert merged["a.lat.min"] == 2.0
-        assert merged["a.lat.max"] == 9.0
-        assert merged["a.lat.p99"] == 8.5
-        assert merged["a.lat.count"] == 4
-
-    def test_all_zero_count_histograms_keep_placeholder(self):
-        merged = telemetry.merge_snapshots([
-            {"a.lat.count": 0, "a.lat.min": 0.0},
-            {"a.lat.count": 0, "a.lat.min": 0.0},
-        ])
-        assert merged["a.lat.min"] == 0.0
-        assert merged["a.lat.count"] == 0
-
-    def test_histogram_only_snapshot_without_count_sibling(self):
-        """Stat keys with no .count sibling fall back to plain min/max."""
-        merged = telemetry.merge_snapshots([
-            {"a.util.min": 0.2},
-            {"a.util.min": 0.4},
-        ])
-        assert merged["a.util.min"] == 0.2
 
 
 class TestTraceSpans:

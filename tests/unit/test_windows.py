@@ -10,7 +10,6 @@ from repro.errors import ConfigError, ReconciliationError
 from repro.telemetry.windows import (
     TumblingCounter,
     WindowReservoir,
-    merge_bucket_maps,
     sliding_sum,
     window_of,
 )
@@ -60,29 +59,11 @@ class TestTumblingCounter:
         )
         c.reconcile(c.total)  # internally consistent by construction
 
-    def test_series_is_dense(self):
-        c = TumblingCounter("x", 10.0)
-        c.add(5.0)
-        c.add(35.0, 2)
-        assert c.series() == [Fraction(1), Fraction(0), Fraction(0),
-                              Fraction(2)]
-
     def test_empty_counter(self):
         c = TumblingCounter("x", 10.0)
         assert c.last_window() == -1
-        assert c.series() == []
+        assert c.buckets == {}
         c.reconcile(0)
-
-    def test_ingest_merges_partials(self):
-        a = TumblingCounter("x", 10.0)
-        a.add(5.0, 3)
-        b = TumblingCounter("x", 10.0)
-        b.add(5.0, 1)
-        b.add(25.0, 2)
-        a.ingest(b.buckets)
-        assert a.bucket(0) == 4
-        assert a.bucket(2) == 2
-        assert a.total == 6
 
     def test_reconcile_raises_on_mismatch(self):
         c = TumblingCounter("x", 10.0)
@@ -109,13 +90,6 @@ class TestTumblingCounter:
             # Three float adds of 0.1 round; the windows must not.
             c.reconcile(sum(Fraction(a) for a in amounts if a != 0.1)
                         + Fraction(0.1 + 0.1 + 0.1))
-        # Ingesting a mixed map keeps the same exact sums.
-        merged = TumblingCounter("x", 10.0)
-        merged.ingest({0: 3, 1: Fraction(1, 3)})
-        merged.ingest(c.buckets)
-        assert merged.bucket(0) == 3 + sum(exact[0::2])
-        assert merged.total == 3 + Fraction(1, 3) + sum(exact)
-        merged.reconcile(3 + Fraction(1, 3) + sum(exact))
 
 
 class TestSlidingSum:
@@ -221,14 +195,3 @@ class TestWindowReservoir:
             r.reconcile(2, 2)
         with pytest.raises(ReconciliationError):
             r.reconcile(1, 3)
-
-
-class TestMergeBucketMaps:
-    def test_merges_by_window(self):
-        merged = merge_bucket_maps(
-            [{0: Fraction(1), 2: Fraction(2)}, {0: Fraction(3)}]
-        )
-        assert merged == {0: Fraction(4), 2: Fraction(2)}
-
-    def test_empty_input(self):
-        assert merge_bucket_maps([]) == {}
