@@ -1,11 +1,11 @@
 """The BENCH results writer behind ``benchmarks/suite/run.py --out``.
 
 Every payload gets the same stamps (``bench_id``, ``timestamp``,
-``cpu_count``, and the NPUConfig/source digests the experiment cache
-already computes, so a BENCH file pins exactly which simulator produced
-it), the same serialization (sorted keys, trailing newline), and is
-archived into the persistent run store (:mod:`repro.store`) so ``repro
-bench diff --history N``, ``repro history`` and the ``repro report``
+``cpu_count``, and the NPUConfig/source digests the run store's run ids
+hash, so a BENCH file pins exactly which simulator produced it), the
+same serialization (sorted keys, trailing newline), and is archived
+into the persistent run store (:mod:`repro.store`) so ``repro bench
+diff --history N``, ``repro history`` and the ``repro report``
 sparklines can gate against the trajectory, not just one committed
 baseline.
 
@@ -21,9 +21,9 @@ import os
 import time
 from typing import Any, Dict
 
-from repro.experiments.cache import config_digest, source_digest
 from repro.store import ingest_quietly
 from repro.store.ingest import record_from_bench
+from repro.store.store import config_digest, source_digest
 
 
 def write_bench(bench_id: str, payload: Dict[str, Any], out_path: str) -> str:

@@ -28,7 +28,6 @@ import cProfile
 import io
 import json
 import pstats
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, List, Optional
@@ -85,8 +84,6 @@ class ModelProfile:
     layers: List[LayerReport]
     #: RunResult.cycles as the simulator reported it (float path).
     run_cycles: float = 0.0
-    #: Wall-clock seconds the host spent simulating.
-    host_seconds: float = 0.0
     notes: List[str] = field(default_factory=list)
 
     # ------------------------------------------------------------------
@@ -113,7 +110,6 @@ class ModelProfile:
             "total_cycles": float(self.total),
             "total_cycles_exact": _encode(self.total),
             "run_cycles": self.run_cycles,
-            "host_seconds": self.host_seconds,
             "categories": {
                 name: float(value)
                 for name, value in sorted(self.categories.items())
@@ -168,8 +164,7 @@ class ModelProfile:
         lines = [
             title,
             "",
-            f"Total: **{float(self.total):,.0f} cycles** "
-            f"(host {self.host_seconds:.2f} s)",
+            f"Total: **{float(self.total):,.0f} cycles**",
             "",
             "| category | cycles | share |",
             "|---|---:|---:|",
@@ -275,7 +270,6 @@ def from_dict(payload: Dict[str, Any]) -> ModelProfile:
         counts=dict(payload.get("counts", {})),
         layers=layers,
         run_cycles=payload.get("run_cycles", 0.0),
-        host_seconds=payload.get("host_seconds", 0.0),
         notes=list(payload.get("notes", ())),
     )
 
@@ -331,7 +325,6 @@ def build_profile(
     secure: bool = False,
     counts: Optional[Dict[str, int]] = None,
     run_cycles: float = 0.0,
-    host_seconds: float = 0.0,
 ) -> ModelProfile:
     """Fold one profiler run ledger into a report object."""
     return ModelProfile(
@@ -344,7 +337,6 @@ def build_profile(
         counts=dict(counts or {}),
         layers=[_layer_report(a) for a in run.layers],
         run_cycles=run_cycles,
-        host_seconds=host_seconds,
     )
 
 
@@ -360,7 +352,6 @@ def profile_model(
     Runs inside a fresh ``telemetry.scoped`` block, so ambient telemetry
     state is untouched.
     """
-    started = time.perf_counter()
     with telemetry.scoped(trace=False) as tel:
         soc = SoC(SoCConfig(protection=protection))
         handle = soc.submit(model, secure=secure)
@@ -373,14 +364,12 @@ def profile_model(
             raise RuntimeError("profiler recorded no runs")
         run = runs[-1]
         counts = dict(tel.profiler.counts)
-    host_seconds = time.perf_counter() - started
     return build_profile(
         run,
         protection=protection,
         secure=secure,
         counts=counts,
         run_cycles=result.cycles,
-        host_seconds=host_seconds,
     )
 
 

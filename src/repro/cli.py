@@ -151,53 +151,27 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     from repro.experiments.all import REGISTRY, run_all
     from repro.experiments.parallel import run_parallel
 
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     ids = args.ids or ["all"]
     if "all" in ids:
-        run_all(
-            args.profile, outdir=args.outdir, jobs=args.jobs,
-            use_cache=args.cache, cache_dir=args.cache_dir,
-        )
+        run_all(args.profile, outdir=args.outdir, jobs=args.jobs)
         return 0
     for exp_id in ids:
         if exp_id not in REGISTRY:
             raise ConfigError(f"unknown experiment {exp_id!r}; choose from "
                               f"{', '.join(REGISTRY.ids() + ['all'])}")
-    run = run_parallel(
-        ids, profile=args.profile, jobs=args.jobs, outdir=args.outdir,
-        use_cache=args.cache, cache_dir=args.cache_dir,
-    )
+    run = run_parallel(ids, profile=args.profile, jobs=args.jobs,
+                       outdir=args.outdir)
     for outcome in run.outcomes:
         for result in outcome.results:
             print(result)
             print()
-    if args.jobs > 1 or run.cache_hits:
+    if args.jobs > 1:
         print(run.timing_table())
         print()
     if args.outdir:
         print(f"(figure data + metrics written to {args.outdir}/)")
-    return 0
-
-
-def _cmd_cache(args: argparse.Namespace) -> int:
-    """Inspect (``ls``) or drop (``clear``) the experiment result cache."""
-    from repro.experiments.cache import ResultCache
-
-    cache = ResultCache(args.cache_dir)
-    if args.action == "clear":
-        removed = cache.clear()
-        print(f"removed {removed} cache entr{'y' if removed == 1 else 'ies'} "
-              f"from {cache.directory}")
-        return 0
-    entries = cache.entries()
-    if not entries:
-        print(f"cache at {cache.directory} is empty")
-        return 0
-    print(f"cache at {cache.directory}:")
-    for entry in entries:
-        print(f"  {entry['key']}  {entry['exp_id']:<14} "
-              f"profile={entry['profile']:<6} "
-              f"{entry['elapsed']:7.2f}s  {entry['bytes']:,} bytes")
-    print(f"({len(entries)} entries)")
     return 0
 
 
@@ -417,6 +391,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     from repro.security.attacks import ALL_ATTACKS
     from repro.telemetry.audit import AuditLedger
 
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     protections = _check_protections(args.protections)
     items = [
         (protection, name)
@@ -1065,30 +1041,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="run experiments across N worker processes (default 1)",
     )
     p_exp.add_argument(
-        "--cache", action="store_true", default=False, dest="cache",
-        help="serve unchanged experiments from the on-disk result cache",
-    )
-    p_exp.add_argument(
-        "--no-cache", action="store_false", dest="cache",
-        help="force fresh runs (default)",
-    )
-    p_exp.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="cache location (default $REPRO_CACHE_DIR or "
-             "~/.cache/repro-experiments)",
+        "--no-cache", action="store_true",
+        help="no effect: experiments always run fresh (accepted so "
+             "existing scripts keep working)",
     )
     p_exp.set_defaults(func=_cmd_experiments)
-
-    p_cache = sub.add_parser(
-        "cache", help="inspect or clear the experiment result cache"
-    )
-    p_cache.add_argument("action", choices=("ls", "clear"))
-    p_cache.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="cache location (default $REPRO_CACHE_DIR or "
-             "~/.cache/repro-experiments)",
-    )
-    p_cache.set_defaults(func=_cmd_cache)
 
     p_stats = sub.add_parser(
         "stats", help="run a workload and dump the metrics registry"

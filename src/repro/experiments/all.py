@@ -11,9 +11,8 @@ shapes).  With ``outdir`` set, each experiment also writes
 telemetry snapshot captured while it ran) into that directory.
 
 Experiments are declared in :data:`REGISTRY` with relative cost hints
-(measured ``eval`` wall-clock) and dependencies; ``repro all --jobs N``
-uses those to schedule a process pool (see
-:mod:`repro.experiments.parallel`).
+(measured ``eval`` wall-clock); ``repro all --jobs N`` uses those to
+schedule a process pool (see :mod:`repro.experiments.parallel`).
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ REGISTRY.register("fig01", fig01.run, cost=1.2,
                   description="accelerator utilization (Fig. 1)")
 REGISTRY.register("fig13", _fig13_all, cost=11.5,
                   description="access control: perf + request counts")
-REGISTRY.register("fig13-energy", fig13.run_energy, cost=4.1, deps=("fig13",),
+REGISTRY.register("fig13-energy", fig13.run_energy, cost=4.1,
                   description="checking-energy companion to Fig. 13(b)")
 REGISTRY.register("fig14", fig14.run, cost=0.5,
                   description="flush granularity")
@@ -96,22 +95,15 @@ def run_all(
     profile: str = "eval",
     outdir: Optional[str] = None,
     jobs: int = 1,
-    use_cache: bool = False,
-    cache_dir: Optional[str] = None,
 ) -> None:
     """Run every registered experiment and print each table.
 
-    With ``jobs > 1`` the experiments fan out across a process pool;
-    with ``use_cache`` unchanged experiments are served from the
-    content-addressed result cache.  Either way the printed figure data
-    is identical to a serial, uncached run.
+    With ``jobs > 1`` the experiments fan out across a process pool; the
+    printed figure data is identical to a serial run.
     """
     from repro.experiments.parallel import run_parallel
 
-    run = run_parallel(
-        None, profile=profile, jobs=jobs, outdir=outdir,
-        use_cache=use_cache, cache_dir=cache_dir,
-    )
+    run = run_parallel(None, profile=profile, jobs=jobs, outdir=outdir)
     for outcome in run.outcomes:
         for result in outcome.results:
             print(result)
@@ -120,7 +112,7 @@ def run_all(
     print()
     print(
         f"(all experiments in {run.wall_seconds:.1f}s, profile={profile}, "
-        f"jobs={run.jobs}, {run.cache_hits} cached)"
+        f"jobs={run.jobs})"
     )
     if outdir:
         print(f"(figure data + metrics written to {outdir}/)")

@@ -20,18 +20,6 @@ def to_dict(result: ExperimentResult) -> Dict[str, Any]:
     }
 
 
-def from_dict(payload: Dict[str, Any]) -> ExperimentResult:
-    """Inverse of :func:`to_dict` (used by the on-disk result cache)."""
-    return ExperimentResult(
-        exp_id=payload["exp_id"],
-        title=payload["title"],
-        columns=list(payload["columns"]),
-        rows=[dict(row) for row in payload["rows"]],
-        notes=list(payload.get("notes", ())),
-        metrics=dict(payload.get("metrics", {})),
-    )
-
-
 def to_json(result: ExperimentResult, indent: int = 2) -> str:
     return json.dumps(to_dict(result), indent=indent, default=str)
 

@@ -1,11 +1,9 @@
-"""Experiment registry: declared specs with cost hints and dependencies.
+"""Experiment registry: declared specs with cost hints.
 
 Every reproduced table/figure is registered as an :class:`ExperimentSpec`
-naming its runner, a relative **cost hint** (used by the parallel
+naming its runner and a relative **cost hint** (used by the parallel
 executor to schedule longest-first, which minimises makespan under a
-process pool), and optional **dependencies** on other experiments (an
-experiment is never dispatched before everything it depends on has
-completed).  The registry is the single dispatch point shared by
+process pool).  The registry is the single dispatch point shared by
 ``repro experiments``, :func:`repro.experiments.all.run_all` and the
 parallel runner in :mod:`repro.experiments.parallel`.
 """
@@ -13,7 +11,7 @@ parallel runner in :mod:`repro.experiments.parallel`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.errors import ConfigError
 
@@ -27,10 +25,8 @@ class ExperimentSpec:
     #: tuple of them.
     runner: Callable[[str], Any]
     #: Relative wall-clock cost (any unit, consistent across specs).  The
-    #: scheduler dispatches the most expensive ready experiment first.
+    #: scheduler dispatches the most expensive experiment first.
     cost: float = 1.0
-    #: Experiment ids that must complete before this one may start.
-    deps: Tuple[str, ...] = ()
     #: Excluded from ``repro all`` when False (still runnable by id).
     in_all: bool = True
     description: str = ""
@@ -47,20 +43,13 @@ class ExperimentRegistry:
         exp_id: str,
         runner: Callable[[str], Any],
         cost: float = 1.0,
-        deps: Iterable[str] = (),
         in_all: bool = True,
         description: str = "",
     ) -> ExperimentSpec:
         if exp_id in self._specs:
             raise ConfigError(f"experiment {exp_id!r} already registered")
-        deps = tuple(deps)
-        for dep in deps:
-            if dep not in self._specs:
-                raise ConfigError(
-                    f"experiment {exp_id!r} depends on unregistered {dep!r}"
-                )
         spec = ExperimentSpec(
-            exp_id=exp_id, runner=runner, cost=float(cost), deps=deps,
+            exp_id=exp_id, runner=runner, cost=float(cost),
             in_all=in_all, description=description,
         )
         self._specs[exp_id] = spec
@@ -87,64 +76,17 @@ class ExperimentRegistry:
             if s.in_all or not all_only
         ]
 
-    # -- scheduling ----------------------------------------------------
     def schedule(self, exp_ids: Optional[Iterable[str]] = None) -> List[ExperimentSpec]:
-        """Dependency-respecting dispatch order, costliest-first.
+        """Dispatch order, costliest-first.
 
         Returns the requested specs (default: everything with
-        ``in_all=True``) topologically sorted by ``deps``, breaking ties
-        by descending cost then registration order — the order a
-        longest-first list scheduler should offer work to idle workers.
-        Dependencies are ordering constraints *within* the requested
-        batch; a dependency outside the batch is treated as satisfied
-        (running ``fig13-energy`` alone must not drag in ``fig13``).
+        ``in_all=True``, duplicates collapsed) sorted by descending cost;
+        the sort is stable, so ties keep the requested (or registration)
+        order — the order a longest-first list scheduler should offer
+        work to idle workers.
         """
         if exp_ids is None:
-            wanted = [s.exp_id for s in self._specs.values() if s.in_all]
+            wanted = [s for s in self._specs.values() if s.in_all]
         else:
-            wanted = list(dict.fromkeys(self.get(e).exp_id for e in exp_ids))
-        batch = set(wanted)
-
-        order = {exp_id: i for i, exp_id in enumerate(wanted)}
-        done: set = set()
-        ready: List[str] = []
-        pending = set(wanted)
-        result: List[ExperimentSpec] = []
-        while pending or ready:
-            newly = [
-                e for e in sorted(pending)
-                if all(
-                    d in done or d not in batch
-                    for d in self._specs[e].deps
-                )
-            ]
-            ready.extend(newly)
-            pending -= set(newly)
-            if not ready:
-                cycle = ", ".join(sorted(pending))
-                raise ConfigError(f"dependency cycle among: {cycle}")
-            ready.sort(key=lambda e: (-self._specs[e].cost, order[e]))
-            nxt = ready.pop(0)
-            done.add(nxt)
-            result.append(self._specs[nxt])
-        return result
-
-    def ready(
-        self,
-        done: Iterable[str],
-        pending: Iterable[str],
-        batch: Optional[Iterable[str]] = None,
-    ) -> List[str]:
-        """Subset of *pending* whose in-batch dependencies are all in
-        *done*, costliest-first (the pool dispatcher calls this as
-        workers free up).  *batch* defaults to ``done | pending``; a
-        dependency outside it is treated as satisfied."""
-        done = set(done)
-        pending = list(pending)
-        batch = set(batch) if batch is not None else done | set(pending)
-        ready = [
-            e for e in pending
-            if all(d in done or d not in batch for d in self.get(e).deps)
-        ]
-        ready.sort(key=lambda e: -self.get(e).cost)
-        return ready
+            wanted = [self.get(e) for e in dict.fromkeys(exp_ids)]
+        return sorted(wanted, key=lambda spec: -spec.cost)

@@ -35,6 +35,7 @@ warning, exit code unchanged).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -48,6 +49,7 @@ from repro.errors import StoreError
 
 ENV_STORE = "REPRO_STORE"
 SCHEMA_VERSION = 1
+_SOURCE_DIGEST: Optional[str] = None
 
 #: Child tables whose rows ride under one ``run_id`` (name -> columns
 #: after ``run_id``).  ``dump()`` and the determinism tests walk this.
@@ -208,6 +210,43 @@ def _bind_seed(value: int) -> Any:
     return str(value)
 
 
+def source_digest() -> str:
+    """SHA-256 over every ``.py`` file under ``src/repro`` (memoised).
+
+    The digest covers relative path *and* content, so renames invalidate
+    too.  Memoised per process: the tree cannot change underneath a
+    running experiment batch.
+    """
+    global _SOURCE_DIGEST
+    if _SOURCE_DIGEST is None:
+        import repro
+
+        root = os.path.dirname(os.path.abspath(repro.__file__))
+        digest = hashlib.sha256()
+        for dirpath, dirnames, filenames in sorted(os.walk(root)):
+            dirnames.sort()
+            for name in sorted(filenames):
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(dirpath, name)
+                digest.update(os.path.relpath(path, root).encode())
+                digest.update(b"\0")
+                with open(path, "rb") as fh:
+                    digest.update(fh.read())
+                digest.update(b"\0")
+        _SOURCE_DIGEST = digest.hexdigest()
+    return _SOURCE_DIGEST
+
+
+def config_digest() -> str:
+    """SHA-256 over the paper-default NPU/NoC configuration fields."""
+    from repro.npu.config import NPUConfig
+
+    fields = dataclasses.asdict(NPUConfig.paper_default())
+    payload = json.dumps(fields, sort_keys=True, default=str)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 def run_key(
     verb: str,
     experiment: str,
@@ -233,7 +272,7 @@ class RunRecord:
     """Everything one run archives (all children optional).
 
     ``config_digest`` / ``source_digest`` default to the live tree's
-    digests (the same recipe the experiment result cache uses) — tests
+    digests (:func:`config_digest`, :func:`source_digest`) — tests
     inject synthetic digests to archive "historical" runs.
     """
 
@@ -257,8 +296,6 @@ class RunRecord:
     figures: List[Dict[str, Any]] = field(default_factory=list)
 
     def digests(self) -> Tuple[str, str]:
-        from repro.experiments.cache import config_digest, source_digest
-
         return (
             self.config_digest or config_digest(),
             self.source_digest or source_digest(),

@@ -52,6 +52,10 @@ DETERMINISM = {
         "stats alexnet --input-size 32",
         "profile mobilenet --protection snpu --input-size 64 "
         "-o {tmp}/profile.txt",
+        "profile mobilenet --protection trustzone --input-size 64 "
+        "--format json -o {tmp}/profile.json",
+        "profile mobilenet --protection trustzone --input-size 64 "
+        "--format md -o {tmp}/profile.md",
         "serve nlp-mix --mechanism snpu --duration 300 -o {tmp}/serve.txt",
         "report -o {tmp}/report.html",
     ],
@@ -236,6 +240,11 @@ EXITS = [
          "experiments fig16 --profile tiny --outdir {tmp}/regular/sub", 2,
          "Not a directory"),
     _row("disasm-negative-limit", "disasm yololite --limit -1", 2, "--limit"),
+    _row("experiments-zero-jobs",
+         'experiments fig16 --profile tiny --outdir "" --jobs 0', 2,
+         "--jobs must be >= 1"),
+    _row("audit-negative-jobs", "audit --jobs -2 --format summary", 2,
+         "--jobs must be >= 1"),
     # Unusable input: an SLO spec that cannot be read or names another
     # scenario (a config error, not a breach).
     _row("slo-unreadable-spec",

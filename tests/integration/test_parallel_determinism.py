@@ -1,10 +1,9 @@
 """The parallel executor must be bit-identical to the serial path.
 
 Runs a small batch twice — ``jobs=1`` and ``jobs=4`` — and asserts
-row-for-row identical figure data, notes, *and* telemetry counters, the
-acceptance bar for ``repro all --jobs N``.  Also covers the cache
-round-trip: a cached re-run must reproduce the same rows and report
-every experiment as a hit.
+row-for-row identical figure data and byte-identical ``--outdir`` trees
+(figure JSON *and* telemetry snapshots), the acceptance bar for
+``repro all --jobs N``.
 """
 
 from __future__ import annotations
@@ -20,9 +19,8 @@ PROFILE = "tiny"
 
 
 def _figure_data(run):
-    """Rows/columns/notes per result (metrics are compared separately —
-    a cached payload JSON-round-trips them, which may stringify exotic
-    values; the figure data itself must survive bit-for-bit)."""
+    """Rows/columns/notes per result (the metrics sit in the
+    ``<exp_id>.metrics.json`` files compared byte for byte)."""
     out = []
     for outcome in run.outcomes:
         payloads = [export.to_dict(r) for r in outcome.results]
@@ -32,46 +30,31 @@ def _figure_data(run):
     return out
 
 
-def _counters(run):
-    """Metrics-relevant counters per experiment (drop non-numerics)."""
-    return [
-        {
-            k: v for k, v in outcome.metrics.items()
-            if isinstance(v, (int, float))
-        }
-        for outcome in run.outcomes
-    ]
-
-
 class TestSerialVsParallel:
-    def test_jobs4_bit_identical_to_jobs1(self):
-        serial = run_parallel(IDS, profile=PROFILE, jobs=1, use_cache=False)
-        pooled = run_parallel(IDS, profile=PROFILE, jobs=4, use_cache=False)
+    def test_jobs4_bit_identical_to_jobs1(self, tmp_path):
+        serial_dir, pooled_dir = tmp_path / "serial", tmp_path / "pooled"
+        serial = run_parallel(IDS, profile=PROFILE, jobs=1,
+                              outdir=str(serial_dir))
+        pooled = run_parallel(IDS, profile=PROFILE, jobs=4,
+                              outdir=str(pooled_dir))
 
         assert [o.exp_id for o in serial.outcomes] == [
             o.exp_id for o in pooled.outcomes
         ]
         assert _figure_data(serial) == _figure_data(pooled)
-        assert serial.outcomes[0].metrics  # telemetry actually captured
+        assert serial.outcomes[0].results[0].metrics  # telemetry captured
         assert sum(
-            c.get("sim.engine.events_fired", 0) for c in _counters(serial)
+            o.results[0].metrics.get("sim.engine.events_fired", 0)
+            for o in serial.outcomes
         ) > 0
-        assert _counters(serial) == _counters(pooled)
-        assert pooled.cache_hits == 0 and serial.cache_hits == 0
 
-
-class TestCacheRoundTrip:
-    def test_second_run_is_all_hits_and_identical(self, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        first = run_parallel(
-            IDS, profile=PROFILE, jobs=1, use_cache=True, cache_dir=cache_dir
+        names = sorted(path.name for path in serial_dir.iterdir())
+        assert names == sorted(
+            [f"{exp_id}.json" for exp_id in IDS]
+            + [f"{exp_id}.metrics.json" for exp_id in IDS]
         )
-        second = run_parallel(
-            IDS, profile=PROFILE, jobs=2, use_cache=True, cache_dir=cache_dir
-        )
-        assert first.cache_hits == 0
-        assert first.cache_misses == len(IDS)
-        assert second.cache_hits == len(IDS)
-        assert second.cache_misses == 0
-        assert all(o.cached for o in second.outcomes)
-        assert _figure_data(first) == _figure_data(second)
+        assert names == sorted(path.name for path in pooled_dir.iterdir())
+        for name in names:
+            assert (serial_dir / name).read_bytes() == (
+                pooled_dir / name
+            ).read_bytes(), name

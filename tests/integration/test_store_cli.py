@@ -73,9 +73,9 @@ class TestJobsArchiveParity:
         serial_store = str(tmp_path / "serial.sqlite")
         pooled_store = str(tmp_path / "pooled.sqlite")
         monkeypatch.setenv("REPRO_STORE", serial_store)
-        run_parallel(IDS, profile=PROFILE, jobs=1, use_cache=False)
+        run_parallel(IDS, profile=PROFILE, jobs=1)
         monkeypatch.setenv("REPRO_STORE", pooled_store)
-        run_parallel(IDS, profile=PROFILE, jobs=4, use_cache=False)
+        run_parallel(IDS, profile=PROFILE, jobs=4)
 
         serial = RunStore(serial_store).dump()
         pooled = RunStore(pooled_store).dump()

@@ -15,7 +15,8 @@ def registry() -> ExperimentRegistry:
     reg = ExperimentRegistry()
     reg.register("cheap", _noop, cost=1.0)
     reg.register("heavy", _noop, cost=10.0)
-    reg.register("after-heavy", _noop, cost=5.0, deps=("heavy",))
+    reg.register("mid", _noop, cost=5.0)
+    reg.register("also-cheap", _noop, cost=1.0)
     reg.register("extra", _noop, cost=2.0, in_all=False)
     return reg
 
@@ -34,23 +35,16 @@ class TestRegistration:
         with pytest.raises(ConfigError, match="already registered"):
             registry.register("heavy", _noop)
 
-    def test_unregistered_dep_rejected(self, registry):
-        with pytest.raises(ConfigError, match="unregistered 'ghost'"):
-            registry.register("x", _noop, deps=("ghost",))
-
     def test_ids_filters_in_all(self, registry):
         assert "extra" in registry.ids()
         assert "extra" not in registry.ids(all_only=True)
 
 
 class TestSchedule:
-    def test_costliest_first_respecting_deps(self, registry):
+    def test_costliest_first(self, registry):
+        """Descending cost; equal costs keep registration order."""
         order = [s.exp_id for s in registry.schedule()]
-        assert order == ["heavy", "after-heavy", "cheap"]
-
-    def test_dep_outside_batch_is_satisfied(self, registry):
-        order = [s.exp_id for s in registry.schedule(["after-heavy", "cheap"])]
-        assert order == ["after-heavy", "cheap"]
+        assert order == ["heavy", "mid", "cheap", "also-cheap"]
 
     def test_requested_subset_only(self, registry):
         order = [s.exp_id for s in registry.schedule(["cheap", "extra"])]
@@ -58,36 +52,3 @@ class TestSchedule:
 
     def test_duplicates_collapse(self, registry):
         assert len(registry.schedule(["cheap", "cheap"])) == 1
-
-    def test_cycle_detected(self):
-        reg = ExperimentRegistry()
-        reg.register("a", _noop)
-        reg.register("b", _noop, deps=("a",))
-        # Forge a cycle (register() itself forbids forward refs).
-        object.__setattr__(reg.get("a"), "deps", ("b",))
-        with pytest.raises(ConfigError, match="cycle"):
-            reg.schedule()
-
-
-class TestReady:
-    def test_blocked_until_dep_done(self, registry):
-        batch = ["heavy", "after-heavy", "cheap"]
-        first = registry.ready(done=[], pending=batch, batch=batch)
-        assert first == ["heavy", "cheap"]
-        after = registry.ready(
-            done=["heavy"], pending=["after-heavy", "cheap"], batch=batch
-        )
-        assert after == ["after-heavy", "cheap"]
-
-    def test_running_dep_still_blocks(self, registry):
-        # "heavy" is in the batch but neither done nor pending (it is
-        # running on a worker): "after-heavy" must not dispatch yet.
-        batch = ["heavy", "after-heavy"]
-        assert registry.ready(
-            done=[], pending=["after-heavy"], batch=batch
-        ) == []
-
-    def test_out_of_batch_dep_is_satisfied(self, registry):
-        assert registry.ready(done=[], pending=["after-heavy"]) == [
-            "after-heavy"
-        ]

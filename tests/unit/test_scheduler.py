@@ -29,7 +29,7 @@ class TestFlushPolicy:
 
 
 class TestRunCaching:
-    def test_cache_hits_are_identical(self, scheduler):
+    def test_repeat_run_is_memoised(self, scheduler):
         model = synthetic_mlp()
         first = scheduler.run(model)
         second = scheduler.run(model)

@@ -15,6 +15,7 @@ from repro.store import (
 )
 from repro.store.ingest import record_from_bench
 from repro.store.queries import CANNED, format_rows, run_query
+from repro.store.store import config_digest, source_digest
 from repro.telemetry.regression import (
     compare_bench_history,
     median_baseline,
@@ -77,6 +78,14 @@ class TestRunKey:
         assert run_key("run", "e", "c", "p2", 0, "s") != base
         assert run_key("run", "e", "c", "p", 1, "s") != base
         assert run_key("run", "e", "c", "p", 0, "s2") != base
+
+    def test_source_digest_covers_the_package(self):
+        digest = source_digest()
+        assert len(digest) == 64
+        assert digest == source_digest()  # memoised
+
+    def test_config_digest_is_stable(self):
+        assert config_digest() == config_digest()
 
 
 class TestIngest:
