@@ -154,13 +154,13 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     ids = args.ids or ["all"]
+    for exp_id in ids:
+        if exp_id not in REGISTRY and exp_id != "all":
+            raise ConfigError(f"unknown experiment {exp_id!r}; choose from "
+                              f"{', '.join(REGISTRY.ids() + ['all'])}")
     if "all" in ids:
         run_all(args.profile, outdir=args.outdir, jobs=args.jobs)
         return 0
-    for exp_id in ids:
-        if exp_id not in REGISTRY:
-            raise ConfigError(f"unknown experiment {exp_id!r}; choose from "
-                              f"{', '.join(REGISTRY.ids() + ['all'])}")
     run = run_parallel(ids, profile=args.profile, jobs=args.jobs,
                        outdir=args.outdir)
     for outcome in run.outcomes:
@@ -329,6 +329,8 @@ def _cmd_flows(args: argparse.Namespace) -> int:
     from repro.memory.dram import DRAMModel
     from repro.npu.core import NPUCore
 
+    if args.top < 1:
+        raise ConfigError(f"--top must be >= 1, got {args.top}")
     model = _resolve_model(args.model, args.input_size)
     config = NPUConfig.paper_default()
     program = TilingCompiler(config).compile(model)
@@ -687,6 +689,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     """Cycle-attribution report, or host profile."""
     from repro.analysis.profile import profile_host, profile_model
 
+    if args.top < 1:
+        raise ConfigError(f"--top must be >= 1, got {args.top}")
     model = _resolve_model(args.model, args.input_size)
 
     if args.host:

@@ -24,6 +24,7 @@ Guarder/IOMMU accounting.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -38,10 +39,13 @@ from repro.workloads.model import GemmSpec, Kernel, ModelGraph, VectorSpec
 #: Default virtual base address of a task's address space.
 TASK_VA_BASE = 0x1000_0000
 
-#: Blocking memo: ``_choose_blocking`` is a pure function of
-#: ``(spec, budget, acc_budget, config)`` (all frozen dataclasses), and
-#: experiments and serving recompile the same kernels dozens of times.
-_BLOCKING_MEMO: Dict[tuple, "Blocking"] = {}
+#: Blocking memo: ``(spec, config)`` (frozen dataclasses) ->
+#: ``(spad_cover, acc_cover, ranked)``, the ``_rank_blockings`` of the
+#: spec under the cover budgets.  A candidate's rank never depends on
+#: the budgets, which only decide whether it fits, so every search at or
+#: below the cover is a scan of ``ranked``: experiments and serving
+#: compile the same kernels at dozens of scratchpad budgets.
+_BLOCKING_MEMO: Dict[tuple, Tuple[int, int, "array[int]"]] = {}
 _BLOCKING_MEMO_MAX = 4096
 
 
@@ -104,7 +108,9 @@ class TilingCompiler:
         ``spad_budget_bytes`` defaults to the full per-tile scratchpad; the
         spatial-sharing experiments pass a fraction of it.
         """
-        budget = spad_budget_bytes or self.config.spad_bytes
+        budget = spad_budget_bytes
+        if budget is None:
+            budget = self.config.spad_bytes
         if acc_budget_bytes is None:
             # The accumulator is carved out of the same scratchpad banks, so
             # a capacity split shrinks it proportionally - this is what
@@ -210,16 +216,51 @@ class TilingCompiler:
     def _choose_blocking(
         self, spec: GemmSpec, budget: int, acc_budget: int
     ) -> Blocking:
-        cache_key = (spec, budget, acc_budget, self.config)
-        cached = _BLOCKING_MEMO.get(cache_key)
-        if cached is not None:
-            return cached
+        """The blocking of least ``(pipeline time, traffic)`` within
+        *budget* and *acc_budget*, the first in enumeration order among
+        equal keys; the smallest legal tile if none fits."""
+        key = (spec, self.config)
+        spad_cover, acc_cover, ranked = _BLOCKING_MEMO.get(
+            key, (self.config.spad_bytes, self.config.acc_bytes_total, None)
+        )
+        if ranked is None or budget > spad_cover or acc_budget > acc_cover:
+            # Rank under budgets that cover this search and every earlier one.
+            spad_cover = max(spad_cover, budget)
+            acc_cover = max(acc_cover, acc_budget)
+            ranked = self._rank_blockings(spec, spad_cover, acc_cover)
+            if len(_BLOCKING_MEMO) >= _BLOCKING_MEMO_MAX:
+                _BLOCKING_MEMO.pop(next(iter(_BLOCKING_MEMO)))
+            _BLOCKING_MEMO[key] = (spad_cover, acc_cover, ranked)
+        for i in range(0, len(ranked), 6):
+            if ranked[i] <= acc_budget and ranked[i + 1] <= budget:
+                return Blocking(*ranked[i + 2:i + 6])
+        # Fall back to the smallest legal tile.
         d = self.config.array_dim
+        mb, kb, nb = (min(cap, d) for cap in self._block_caps(spec))
+        return Blocking(mb, kb, nb, self._choose_pack(spec, mb, kb))
+
+    def _block_caps(self, spec: GemmSpec) -> Tuple[int, int, int]:
+        """Largest M, K and N blocks: each dimension rounded up to the
+        array width, or itself when narrower."""
+        d = self.config.array_dim
+        m, k, n = (_round_up(x, d) if x >= d else x for x in (spec.m, spec.k, spec.n))
+        return m, k, n
+
+    def _rank_blockings(
+        self, spec: GemmSpec, budget: int, acc_budget: int
+    ) -> "array[int]":
+        """Every blocking within *budget* and *acc_budget*, best first, as
+        ``(acc_need, spad_need, mb, kb, nb, pack)`` int sextets.
+
+        Candidates sort by ``(pipeline time, traffic, enumeration index)``.
+        One that needs no less accumulator and scratchpad than an earlier
+        one can never fit first and is left out; under smaller budgets,
+        the first sextet that fits is the first strict minimum of a
+        search over the candidates that fit them.
+        """
         ib = self.config.input_bytes
         acc_eb = self.config.acc_elem_bytes
-        m_cap = _round_up(spec.m, d) if spec.m >= d else spec.m
-        n_cap = _round_up(spec.n, d) if spec.n >= d else spec.n
-        k_cap = _round_up(spec.k, d) if spec.k >= d else spec.k
+        m_cap, k_cap, n_cap = self._block_caps(spec)
 
         # Split each candidate block size of each dimension once; a
         # (mb, nb, kb) candidate is then priced from one row of each.
@@ -235,17 +276,19 @@ class TilingCompiler:
             (kb, self._k_row(spec, kb))
             for kb in sorted({c for c in self._CANDIDATES if c <= k_cap} | {k_cap})
         ]
-        best_key: Optional[Tuple[float, float]] = None
+        priced = []
         for mb, m_row in m_rows:
             for nb, n_row in n_rows:
                 # Accumulator constraint (double buffered).
-                if mb * nb * acc_eb * 2 > acc_budget:
+                acc_need = mb * nb * acc_eb * 2
+                if acc_need > acc_budget:
                     continue
-                # Scratchpad constraint: double-buffered input + weight blocks.
-                kb_max = budget // (2 * ib * (mb + nb))
                 traffic = self._traffic(spec, m_row[0], n_row[0])
                 for kb, k_row in k_rows:
-                    if kb > kb_max:
+                    # Scratchpad constraint: double-buffered input +
+                    # weight blocks.
+                    spad_need = 2 * ib * (mb + nb) * kb
+                    if spad_need > budget:
                         break
                     pack = self._choose_pack(spec, mb, kb)
                     totals = self._gemm_totals(
@@ -254,18 +297,18 @@ class TilingCompiler:
                     # Minimize the modelled pipeline time (the same per-
                     # iteration max(load, compute, store) the core charges),
                     # with raw traffic as tiebreak (energy/contention).
-                    key = (self._pipeline_time(totals), traffic)
-                    if best_key is None or key < best_key:
-                        best_key, best = key, (mb, kb, nb, pack)
-        if best_key is None:
-            # Fall back to the smallest legal tile.
-            mb, kb, nb = min(m_cap, d), min(k_cap, d), min(n_cap, d)
-            best = (mb, kb, nb, self._choose_pack(spec, mb, kb))
-        chosen = Blocking(*best)
-        if len(_BLOCKING_MEMO) >= _BLOCKING_MEMO_MAX:
-            _BLOCKING_MEMO.pop(next(iter(_BLOCKING_MEMO)))
-        _BLOCKING_MEMO[cache_key] = chosen
-        return chosen
+                    priced.append((
+                        self._pipeline_time(totals), traffic, len(priced),
+                        acc_need, spad_need, mb, kb, nb, pack,
+                    ))
+        priced.sort()
+        ranked = array("q")
+        steps: List[Tuple[int, int]] = []
+        for *_, acc_need, spad_need, mb, kb, nb, pack in priced:
+            if all(a > acc_need or s > spad_need for a, s in steps):
+                steps.append((acc_need, spad_need))
+                ranked.extend((acc_need, spad_need, mb, kb, nb, pack))
+        return ranked
 
     def _choose_pack(self, spec: GemmSpec, mb: int, kb: int) -> int:
         if spec.repeat == 1:

@@ -162,7 +162,8 @@ class MultiTaskScheduler:
         share: float = 1.0,
         flush: Optional[str] = None,
     ) -> RunResult:
-        budget = budget or self.config.spad_bytes
+        if budget is None:
+            budget = self.config.spad_bytes
         key = (model.cache_key, budget, share, flush)
         if key not in self._time_cache:
             program = self.compile_cached(model, budget)

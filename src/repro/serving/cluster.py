@@ -1,4 +1,4 @@
-"""Sharded multi-NPU cluster serving (ROADMAP item 2).
+"""Sharded multi-NPU cluster serving (its fluid leg: ROADMAP item 5).
 
 One NPU answers §IV-B's dilemma for one device; production serves
 millions of requests across a *fleet*.  This module puts N single-NPU

@@ -201,6 +201,9 @@ EXITS = [
     _row("trace-non-python-script", "trace {tmp}/notpy.txt", 2,
          "must be a .py script or a model name"),
     _row("experiments-unknown-id", "experiments fig99", 2, "cluster-sweep"),
+    _row("experiments-all-with-unknown-id",
+         'experiments all fig99 --profile tiny --outdir ""', 2,
+         "unknown experiment 'fig99'"),
     # Unusable input: a BENCH file that is missing, not a JSON object or
     # not a two-section payload, one without a bench_id stamp under
     # --history (old.json has none), or a lone file without --history.
@@ -245,6 +248,10 @@ EXITS = [
          "--jobs must be >= 1"),
     _row("audit-negative-jobs", "audit --jobs -2 --format summary", 2,
          "--jobs must be >= 1"),
+    _row("flows-negative-top", "flows yololite --top -3 --input-size 32", 2,
+         "--top must be >= 1"),
+    _row("profile-negative-top", "profile yololite --host --top -2", 2,
+         "--top must be >= 1"),
     # Unusable input: an SLO spec that cannot be read or names another
     # scenario (a config error, not a breach).
     _row("slo-unreadable-spec",

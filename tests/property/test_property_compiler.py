@@ -85,17 +85,22 @@ def brute_force_blocking(spec: GemmSpec, budget: int, acc_budget: int) -> Blocki
     return best[1]
 
 
-@given(
-    gemm_specs(),
-    # Below 4 KiB no 16-wide candidate fits; whole KiB budgets land
-    # exactly on candidate footprints.
+#: Below 4 KiB no 16-wide candidate fits; whole KiB budgets land exactly
+#: on candidate footprints; the upper ranges pass the full scratchpad
+#: (256 KiB) and accumulator (64 KiB).
+SPAD_BUDGETS = (
     st.integers(1, 4096)
     | st.sampled_from([32, 64, 128, 256]).map(lambda kib: kib << 10)
-    | st.integers(4096, 1 << 19),
+    | st.integers(4096, 1 << 19)
+)
+ACC_BUDGETS = (
     st.integers(1, 2048)
     | st.sampled_from([8, 16, 32, 64]).map(lambda kib: kib << 10)
-    | st.integers(2048, 1 << 17),
+    | st.integers(2048, 1 << 17)
 )
+
+
+@given(gemm_specs(), SPAD_BUDGETS, ACC_BUDGETS)
 # The fallback tile: no kb fits the scratchpad, no (mb, nb) the accumulator.
 @example(GemmSpec("g", m=100, k=100, n=100, repeat=4), 1024, 1 << 16)
 @example(GemmSpec("g", m=100, k=100, n=100), 1 << 18, 1024)
@@ -109,10 +114,37 @@ def brute_force_blocking(spec: GemmSpec, budget: int, acc_budget: int) -> Blocki
          64 << 10, 16 << 10)
 @settings(max_examples=150, deadline=None)
 def test_search_equals_brute_force(spec, budget, acc_budget):
-    _BLOCKING_MEMO.pop((spec, budget, acc_budget, CFG), None)
+    _BLOCKING_MEMO.pop((spec, CFG), None)
     assert COMPILER._choose_blocking(spec, budget, acc_budget) == (
         brute_force_blocking(spec, budget, acc_budget)
     )
+
+
+@given(gemm_specs(), st.lists(st.tuples(SPAD_BUDGETS, ACC_BUDGETS),
+                              min_size=2, max_size=5))
+# A scratchpad budget above the full scratchpad after a smaller one
+# grows the cover (kb 64 -> 128); resnet's conv1 at eval.
+@example(GemmSpec("g", m=784, k=147, n=64, input_bytes_per_pass=9408,
+                  weight_bytes=9408, input_halo_bytes=840),
+         [(64 << 10, 16 << 10), (512 << 10, 64 << 10)])
+# An accumulator budget above the full accumulator; mobilenet's pw2.
+@example(GemmSpec("g", m=196, k=64, n=128, input_bytes_per_pass=12544,
+                  weight_bytes=8192),
+         [(64 << 10, 16 << 10), (256 << 10, 128 << 10)])
+# Equal keys: kb 32 (pack 4) and kb 64 (pack 2) tie, and the first in
+# enumeration order wins at both budgets that fit both.
+@example(GemmSpec("g", m=32, k=127, n=33, repeat=16,
+                  input_bytes_per_pass=4064, weight_bytes=964),
+         [(64 << 10, 8 << 10), (32 << 10, 8 << 10), (16 << 10, 8 << 10)])
+@settings(max_examples=60, deadline=None)
+def test_warm_search_equals_brute_force(spec, budgets):
+    """Searches of one spec at many budgets, in sequence, share its memo
+    entry; each still equals the cold brute force."""
+    _BLOCKING_MEMO.pop((spec, CFG), None)
+    for budget, acc_budget in budgets:
+        assert COMPILER._choose_blocking(spec, budget, acc_budget) == (
+            brute_force_blocking(spec, budget, acc_budget)
+        ), (budget, acc_budget)
 
 
 @given(gemm_specs(), st.sampled_from([32, 64, 128, 256]))

@@ -5,7 +5,7 @@ from typing import List
 import pytest
 
 from repro.common.types import World
-from repro.driver.compiler import Blocking, TilingCompiler
+from repro.driver.compiler import _BLOCKING_MEMO, Blocking, TilingCompiler
 from repro.errors import ConfigError
 from repro.npu.config import NPUConfig
 from repro.npu.isa import LayerSchedule
@@ -168,6 +168,23 @@ class TestBlockingSelection:
             assert footprint <= budget
             assert b.mb * b.nb * cfg.acc_elem_bytes * 2 <= acc
 
+    def test_blockings_priced_once_per_spec(self, cfg, monkeypatch):
+        """Searches within the cover (the full scratchpad and accumulator)
+        scan the spec's ranking; one above it prices the spec again."""
+        compiler = TilingCompiler(cfg)
+        spec = GemmSpec("g", m=784, k=1152, n=256)
+        _BLOCKING_MEMO.pop((spec, cfg), None)
+        priced = []
+        real = compiler._gemm_totals
+        monkeypatch.setattr(compiler, "_gemm_totals",
+                            lambda *a: priced.append(1) or real(*a))
+        counts = []
+        for budget in (32, 256, 64, 128, 512):
+            acc = cfg.acc_bytes_total * budget * 1024 // cfg.spad_bytes
+            compiler._choose_blocking(spec, budget * 1024, acc)
+            counts.append(len(priced))
+        assert 0 < counts[0] == counts[3] < counts[4]
+
     def test_small_matrix_not_padded_up(self, cfg):
         compiler = TilingCompiler(cfg)
         b = compiler._choose_blocking(
@@ -245,8 +262,10 @@ class TestBlockingSelection:
 
     def test_tiny_budget_rejected(self, cfg):
         compiler = TilingCompiler(cfg)
-        with pytest.raises(ConfigError):
-            compiler.compile(synthetic_mlp(), spad_budget_bytes=128)
+        # 0 is a budget too, not a request for the full scratchpad.
+        for budget in (128, 0):
+            with pytest.raises(ConfigError, match="too small"):
+                compiler.compile(synthetic_mlp(), spad_budget_bytes=budget)
 
 
 class TestChunkLayout:

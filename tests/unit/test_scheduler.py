@@ -40,6 +40,10 @@ class TestRunCaching:
         b = scheduler.run(synthetic_mlp(features=256))
         assert a.cycles != b.cycles
 
+    def test_zero_budget_is_not_the_default(self, scheduler):
+        with pytest.raises(ConfigError, match="too small"):
+            scheduler.run(synthetic_mlp(), budget=0)
+
 
 class TestFinishWithSwitch:
     def test_finished_before_switch(self):
