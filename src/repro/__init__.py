@@ -16,25 +16,37 @@ Quick start::
     print(f"{result.cycles:.0f} cycles, {result.utilization:.1%} of peak")
 """
 
-from repro.soc import SoC, SoCConfig, TaskHandle
-from repro.npu.config import NPUConfig
-from repro.npu.core import NPUCore, RunResult
-from repro.common.types import World, Permission, AddressRange, DmaRequest
-from repro import errors
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SoC",
-    "SoCConfig",
-    "TaskHandle",
-    "NPUConfig",
-    "NPUCore",
-    "RunResult",
-    "World",
-    "Permission",
-    "AddressRange",
-    "DmaRequest",
-    "errors",
-    "__version__",
-]
+#: Public name -> the module that defines it.  Loaded on first access
+#: (PEP 562), so ``import repro`` costs nothing until a name is used and
+#: a verb that never builds an SoC never imports one.
+_EXPORTS = {
+    "SoC": "repro.soc",
+    "SoCConfig": "repro.soc",
+    "TaskHandle": "repro.soc",
+    "NPUConfig": "repro.npu.config",
+    "NPUCore": "repro.npu.core",
+    "RunResult": "repro.npu.core",
+    "World": "repro.common.types",
+    "Permission": "repro.common.types",
+    "AddressRange": "repro.common.types",
+    "DmaRequest": "repro.common.types",
+    "errors": "repro.errors",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        )
+    module = importlib.import_module(_EXPORTS[name])
+    # ``errors`` is a module; every other name is defined in its module.
+    value = module if name == "errors" else getattr(module, name)
+    globals()[name] = value
+    return value

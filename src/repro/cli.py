@@ -31,7 +31,7 @@ import os
 import sys
 from typing import List, Optional
 
-from repro import SoC, SoCConfig, telemetry
+from repro import telemetry
 from repro.errors import AllocationError, ConfigError, ReproError, StoreError
 from repro.npu.config import NPUConfig
 from repro.workloads import zoo
@@ -75,6 +75,7 @@ def _resolve_model(name: str, input_size: int):
 
 def _cmd_run(args: argparse.Namespace) -> int:
     model = _resolve_model(args.model, args.input_size)
+    from repro.soc import SoC, SoCConfig
     from repro.store import ingest_quietly
     from repro.store.ingest import record_from_run
 
@@ -178,6 +179,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     """Run one workload and dump the telemetry registry's snapshot."""
     model = _resolve_model(args.model, args.input_size)
+    from repro.soc import SoC, SoCConfig
     from repro.store import ingest_quietly
     from repro.store.ingest import record_from_stats
 
@@ -224,6 +226,7 @@ def _trace_scenario(model) -> None:
     packets including one peephole rejection."""
     from repro.common.types import World
     from repro.errors import NoCAuthError
+    from repro.soc import SoC, SoCConfig
 
     soc = SoC(SoCConfig(protection="snpu"))
     handle = soc.submit(model, secure=True)

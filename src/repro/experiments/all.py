@@ -17,25 +17,27 @@ schedule a process pool (see :mod:`repro.experiments.parallel`).
 
 from __future__ import annotations
 
+import importlib
 import sys
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro import telemetry
-from repro.experiments import fig01, fig13, fig14, fig15, fig16, fig17, fig18
-from repro.experiments import cluster, sensitivity, serve, table1, tcb, watch
 from repro.experiments.registry import ExperimentRegistry
 from repro.experiments.runner import ExperimentResult
 
 
-def _fig13_all(profile: str) -> Tuple[ExperimentResult, ...]:
-    perf, reqs = fig13.run(profile)
-    return perf, reqs
+def _lazy(module: str, attr: str = "run",
+          takes_profile: bool = True) -> Callable[[str], object]:
+    """A runner that imports ``repro.experiments.<module>`` when it runs,
+    so a process pays only for the experiments it runs."""
 
+    def runner(profile: str):
+        fn = getattr(
+            importlib.import_module(f"repro.experiments.{module}"), attr
+        )
+        return fn(profile) if takes_profile else fn()
 
-def _access_paths(profile: str):
-    from repro.experiments import access_paths
-
-    return access_paths.run(profile)
+    return runner
 
 
 #: Experiment registry: the single dispatch point for ``repro
@@ -43,36 +45,37 @@ def _access_paths(profile: str):
 #: are measured ``eval``-profile seconds (relative values are what
 #: matters: the scheduler dispatches costliest-first).
 REGISTRY = ExperimentRegistry()
-REGISTRY.register("fig01", fig01.run, cost=1.2,
+REGISTRY.register("fig01", _lazy("fig01"), cost=1.2,
                   description="accelerator utilization (Fig. 1)")
-REGISTRY.register("fig13", _fig13_all, cost=11.5,
+REGISTRY.register("fig13", _lazy("fig13"), cost=11.5,
                   description="access control: perf + request counts")
-REGISTRY.register("fig13-energy", fig13.run_energy, cost=4.1,
+REGISTRY.register("fig13-energy", _lazy("fig13", "run_energy"), cost=4.1,
                   description="checking-energy companion to Fig. 13(b)")
-REGISTRY.register("fig14", fig14.run, cost=0.5,
+REGISTRY.register("fig14", _lazy("fig14"), cost=0.5,
                   description="flush granularity")
-REGISTRY.register("fig15", fig15.run, cost=9.0,
+REGISTRY.register("fig15", _lazy("fig15"), cost=9.0,
                   description="partition vs dynamic scratchpad")
-REGISTRY.register("fig16", lambda profile: fig16.run(), cost=0.1,
+REGISTRY.register("fig16", _lazy("fig16", takes_profile=False), cost=0.1,
                   description="NoC micro-test")
-REGISTRY.register("fig17", fig17.run, cost=0.4,
+REGISTRY.register("fig17", _lazy("fig17"), cost=0.4,
                   description="NoC application overhead")
-REGISTRY.register("fig18", lambda profile: fig18.run(), cost=0.1,
+REGISTRY.register("fig18", _lazy("fig18", takes_profile=False), cost=0.1,
                   description="hardware cost")
-REGISTRY.register("table1", table1.run, cost=9.5,
+REGISTRY.register("table1", _lazy("table1"), cost=9.5,
                   description="isolation matrix (Table I)")
-REGISTRY.register("tcb", lambda profile: tcb.run(), cost=0.1,
+REGISTRY.register("tcb", _lazy("tcb", takes_profile=False), cost=0.1,
                   description="TCB size")
-REGISTRY.register("sensitivity", sensitivity.run, cost=3.4,
+REGISTRY.register("sensitivity", _lazy("sensitivity"), cost=3.4,
                   description="sensitivity sweeps")
-REGISTRY.register("serve-sweep", serve.run, cost=6.0,
+REGISTRY.register("serve-sweep", _lazy("serve"), cost=6.0,
                   description="multi-tenant serving SLA sweep (§IV-B)")
-REGISTRY.register("cluster-sweep", cluster.run, cost=8.0,
+REGISTRY.register("cluster-sweep", _lazy("cluster"), cost=8.0,
                   description="sharded multi-NPU cluster serving sweep")
-REGISTRY.register("access-paths", _access_paths, cost=3.0, in_all=False,
-                  description="access-path microbenchmarks")
-REGISTRY.register("watch", watch.run, cost=1.0,
+REGISTRY.register("access-paths", _lazy("access_paths"), cost=3.0,
+                  in_all=False, description="access-path microbenchmarks")
+REGISTRY.register("watch", _lazy("watch"), cost=1.0,
                   description="live observability window timeline")
+
 
 def run_one(exp_id: str, profile: str = "eval") -> List[ExperimentResult]:
     """Run one experiment under a scoped telemetry registry.

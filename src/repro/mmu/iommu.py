@@ -87,8 +87,9 @@ class IOMMU(AccessController):
     iotlb_entries:
         Number of IOTLB entries ("IOTLB-4" ... "IOTLB-32" in Fig. 13).
     walk_cycles:
-        Stall cycles of one page walk.  Defaults to two serialized DRAM
-        accesses (upper levels hit the page-walk cache).
+        Stall cycles of one page walk.  None (the default) reads
+        :attr:`DEFAULT_WALK_CYCLES` when the IOMMU is built, so assigning
+        the class attribute changes every IOMMU built afterwards.
     enforce_world:
         When True the PTE's NS bit is checked against the request world.
     functional:
@@ -110,14 +111,16 @@ class IOMMU(AccessController):
         self,
         page_table: PageTable,
         iotlb_entries: int = 16,
-        walk_cycles: float = DEFAULT_WALK_CYCLES,
+        walk_cycles: Optional[float] = None,
         enforce_world: bool = True,
         functional: bool = False,
     ):
         super().__init__()
         self.page_table = page_table
         self.iotlb = IOTLB(iotlb_entries)
-        self.walk_cycles = float(walk_cycles)
+        self.walk_cycles = float(
+            self.DEFAULT_WALK_CYCLES if walk_cycles is None else walk_cycles
+        )
         self.enforce_world = enforce_world
         self.functional = functional
         self.name = f"iommu-{iotlb_entries}"

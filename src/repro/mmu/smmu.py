@@ -16,6 +16,7 @@ here:
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Optional
 
 from repro import telemetry
 from repro.common.types import DmaRequest, World
@@ -32,7 +33,7 @@ class TrustZoneSMMU(IOMMU):
         self,
         page_table: PageTable,
         iotlb_entries: int = 16,
-        walk_cycles: float = IOMMU.DEFAULT_WALK_CYCLES,
+        walk_cycles: Optional[float] = None,
     ):
         super().__init__(
             page_table,

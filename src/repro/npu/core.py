@@ -550,22 +550,28 @@ def run_sweep(
     returns for the same fresh core, but the sweep walks the program
     once: the first core whose fast path needs a layer folds it, every
     core proves and replays that fold against its own controller, and
-    the fold is dropped before the next layer.  The cores must not share
-    a controller.  A fault in any core ends the sweep with that core's
-    exception; every profiler run it opened is archived first.
+    the fold is dropped before the next layer.  Paging cores whose
+    IOTLBs nest inside the deepest one share one LRU-stack walk of the
+    layer's pages.  The cores must not share a controller.  A fault in
+    any core ends the sweep with that core's exception; every profiler
+    run it opened is archived first.
     """
     if flush is not None and flush not in FLUSH_GRANULARITIES:
         raise ConfigError(f"unknown flush granularity {flush!r}")
     if len({id(core.controller) for core in cores}) != len(cores):
         raise ConfigError("run_sweep needs one controller per core")
     runs: List[_DetailedRun] = []
+    controllers = [core.controller for core in cores]
     try:
         for core in cores:
             runs.append(_DetailedRun(core, program, share, flush))
         for i, layer in enumerate(program.layers):
             # Rebinding drops the previous layer's fold before any core
-            # can fold this one.
-            shared = _fastpath.LayerFold(layer)
+            # can fold this one.  The deepest IOTLB is recorded before
+            # any core replays the layer: every IOTLB on top of it shares
+            # its stack walk.
+            shared = _fastpath.LayerFold(
+                layer, _fastpath.deepest_iotlb(controllers))
             for run in runs:
                 run.layer(i, shared)
     finally:

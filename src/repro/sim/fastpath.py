@@ -15,12 +15,12 @@ is bit-identical by construction, not merely close.
 Design rules that make the equivalence hold exactly:
 
 * **Sequential replay, not closed-form sums.**  Float accumulators
-  (``dma.cursor``, ``stats.stream_cycles``, IOTLB walk stalls, systolic
+  (``dma.cursor``, ``stats.stream_cycles``, DMA stall cycles, systolic
   busy cycles, the per-layer segment pipeline) are replayed as local
   variables updated with the same operand values in the same order as
   the event path, then written back at layer end.  Only integer-valued
-  quantities (request/packet/byte counters) are batched, which is exact
-  below 2**53.
+  quantities (request/packet/byte counters, and walk stalls once
+  proven integer-valued) are batched, which is exact below 2**53.
 * **Conservative eligibility.**  A layer runs on the fast path only when
   the predicate below *proves* the event path would take no data-dependent
   branch the replay does not model: every page mapped with sufficient
@@ -39,6 +39,19 @@ Design rules that make the equivalence hold exactly:
   on the fold.  Nothing is cached on layer objects, across sweeps or in
   module globals, so peak memory is one layer's fold and no cache can go
   stale (``run_detailed`` is the one-core sweep).
+* **One stack walk per layer per sweep.**  LRU is a stack algorithm
+  (Mattson et al., 1970): an E-entry LRU always holds the top E pages of
+  one recency stack.  At each layer start the sweep records its deepest
+  IOTLB (:func:`deepest_iotlb`); one walk of the layer's page stream
+  from that state records each transfer's page count, jump pages and
+  the stack depth of every page found in the stack, and every IOTLB
+  that is the top of the recorded one replays the layer from it.  Any
+  other IOTLB walks from its own state, so a lone core is a group of
+  one.  Walk stalls are then charged per transfer as count × cost,
+  which is exact only for integer-valued costs and sums below 2**53
+  (the ``walk_cost`` fallback), and carried-over IOTLB entries the layer
+  touches must be the table's current PTE objects (else
+  ``iommu_unprovable``).
 
 Every detailed run tries the fast path; the event simulator is the
 fallback and the reference.  :func:`forced` pins the event path for
@@ -47,6 +60,8 @@ the differential tests.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -76,6 +91,8 @@ _READ_I = int(Permission.READ)
 _WRITE_I = int(Permission.WRITE)
 #: IntFlag member -> raw mask without the enum ``.value`` descriptor.
 _PERM_MASK = {member: int(member) for member in Permission}
+#: Integer-valued doubles add exactly while every partial sum stays below.
+_EXACT = 2.0 ** 53
 
 
 @contextmanager
@@ -208,17 +225,23 @@ class LayerFold:
     The fold reads only the layer's schedule, never a controller, so
     every core of a sweep can prove and replay the same one.  A fold
     that raises is remembered as failed: each run still counts its own
-    ``fold_error`` fallback, but the layer is not folded again.
+    ``fold_error`` fallback, but the layer is not folded again.  *start*
+    is the sweep's deepest IOTLB at the layer's start
+    (:func:`deepest_iotlb`); the stack walks from it and from any other
+    starting state live here too, so they die with the fold.
     """
 
-    __slots__ = ("layer", "_fold", "_failed", "_proofs")
+    __slots__ = ("layer", "start", "_fold", "_failed", "_proofs", "_walks")
 
-    def __init__(self, layer) -> None:
+    def __init__(self, layer, start: Optional[tuple] = None) -> None:
         self.layer = layer
+        self.start = start
         self._fold: Optional[_Fold] = None
         self._failed = False
         #: ``(page table, enforce_world, eff_worlds) -> pte map or None``.
         self._proofs: Dict[tuple, Optional[dict]] = {}
+        #: ``(keys, last_vpage, depth) -> _StackWalk``.
+        self._walks: Dict[tuple, _StackWalk] = {}
 
     def get(self) -> Optional[_Fold]:
         """The layer's fold, or None when folding it raised."""
@@ -244,6 +267,122 @@ class LayerFold:
         if key not in self._proofs:
             self._proofs[key] = _paging_provable(ctrl, self._fold, eff_worlds)
         return self._proofs[key]
+
+    def stack_walk(self, ctrl: IOMMU) -> "_StackWalk":
+        """The stack walk *ctrl*'s IOTLB replays this layer from.
+
+        An E-entry IOTLB whose keys are the last E keys of the recorded
+        start, with the same ``_last_vpage``, is the top of that stack
+        and shares its walk; any other walks from its own state.
+        """
+        iotlb = ctrl.iotlb
+        entries = iotlb.entries
+        keys = tuple(iotlb._cache)
+        start = self.start
+        if (start is None or start[1] != ctrl._last_vpage
+                or entries > start[2] or keys != start[0][-entries:]):
+            start = (keys, ctrl._last_vpage, entries)
+        walk = self._walks.get(start)
+        if walk is None:
+            walk = self._walks[start] = _stack_walk(self._fold, *start)
+        return walk
+
+
+def deepest_iotlb(controllers) -> Optional[tuple]:
+    """``(keys, last_vpage, entries)`` of the deepest exact-type IOMMU or
+    TrustZone sMMU IOTLB among *controllers* (None when there is none).
+
+    Keys are in LRU order, oldest first.  :func:`repro.npu.core.run_sweep`
+    records this at each layer start, before any core replays the layer.
+    """
+    deepest = None
+    for ctrl in controllers:
+        if type(ctrl) in (IOMMU, TrustZoneSMMU) and (
+                deepest is None
+                or ctrl.iotlb.entries > deepest.iotlb.entries):
+            deepest = ctrl
+    if deepest is None:
+        return None
+    return (tuple(deepest.iotlb._cache), deepest._last_vpage,
+            deepest.iotlb.entries)
+
+
+class _StackWalk:
+    """One LRU-stack walk of a layer's page stream.
+
+    ``iters`` mirrors the fold's iterations; each transfer is ``(size,
+    n, jumps, found, found_jumps)``: its page count, how many of its
+    pages are jumps (``v != last + 1``), and the sorted stack depths of
+    its pages found in the stack, all of them and the jumps among them.
+    ``keys`` is the final stack, LRU first, ``last`` its last page and
+    ``pages`` the layer's page count.
+    """
+
+    __slots__ = ("iters", "keys", "last", "pages")
+
+    def __init__(self, iters: list, keys: tuple, last: int,
+                 pages: int) -> None:
+        self.iters = iters
+        self.keys = keys
+        self.last = last
+        self.pages = pages
+
+
+def _stack_walk(fold: _Fold, keys: tuple, last: int,
+                depth: int) -> _StackWalk:
+    """Walk the layer's page stream once through a *depth*-deep LRU
+    stack that starts as *keys* (LRU first), after page *last*.
+
+    A page found at depth d (0 = most recent) hits every IOTLB of more
+    than d entries; any other page misses them all and costs one probe,
+    one insert and at most one pop, whatever the number of IOTLB sizes.
+    """
+    order = list(keys)  # the stack, LRU first
+    held = set(order)
+    n_held = len(order)
+    index = order.index
+    append = order.append
+    pop = order.pop
+    hold = held.add
+    drop = held.discard
+    iters = []
+    pages_total = 0
+    for loads, stores, compute, macs in fold.iters:
+        halves = []
+        for transfers in (loads, stores):
+            records = []
+            for size, pages in transfers:
+                jumps = 0
+                found = []
+                found_jumps = []
+                for v in pages:
+                    jump = v != last + 1
+                    if jump:
+                        jumps += 1
+                    if v in held:
+                        i = index(v)
+                        d = n_held - 1 - i
+                        del order[i]
+                        append(v)
+                        found.append(d)
+                        if jump:
+                            found_jumps.append(d)
+                    else:
+                        hold(v)
+                        append(v)
+                        if n_held >= depth:
+                            drop(pop(0))
+                        else:
+                            n_held += 1
+                    last = v
+                if found:
+                    found.sort()
+                    found_jumps.sort()
+                pages_total += len(pages)
+                records.append((size, len(pages), jumps, found, found_jumps))
+            halves.append(records)
+        iters.append((halves[0], halves[1], compute, macs))
+    return _StackWalk(iters, tuple(order), last, pages_total)
 
 
 # ----------------------------------------------------------------------
@@ -319,6 +458,49 @@ def _paging_provable(ctrl: IOMMU, fold: _Fold, eff_worlds) -> Optional[dict]:
                     return None
         pte_map[vpage] = pte
     return pte_map
+
+
+def _carried_current(cache, pte_map) -> bool:
+    """True when every IOTLB entry the layer touches holds the page
+    table's current PTE object.
+
+    Then an E-entry IOTLB ends with ``pte_map[p]`` for every touched page,
+    hit or re-walked, and keeps its own PTE for the rest, and the
+    precheck's proof covers the PTEs its hits return.
+    """
+    for vpage, pte in cache.items():
+        current = pte_map.get(vpage)
+        if current is not None and current is not pte:
+            return False
+    return True
+
+
+def _exact_int(x) -> bool:
+    """True for a non-negative integer-valued number below 2**53 (a
+    -0.0 would turn a sum of zeros negative)."""
+    return 0 <= x < _EXACT and x == int(x) and math.copysign(1.0, x) > 0
+
+
+def _walk_costs_exact(ctrl: IOMMU) -> bool:
+    """True when both walk stalls (jump and sequential) are integers."""
+    cost = ctrl.walk_cycles
+    return _exact_int(cost) and _exact_int(cost * ctrl.SEQUENTIAL_OVERLAP)
+
+
+def _walk_sums_exact(ctrl: IOMMU, pages: int) -> bool:
+    """True when the walk cursor and the run's walk-cycle sum are integers
+    that stay below 2**53 even if all *pages* walk at the dearer stall.
+
+    With integer stalls (:func:`_walk_costs_exact`) every partial sum is
+    then an exactly representable integer, so count × cost equals the
+    event path's page-by-page sum bit for bit.
+    """
+    cost = ctrl.walk_cycles
+    bound = pages * max(cost, cost * ctrl.SEQUENTIAL_OVERLAP)
+    return all(
+        _exact_int(acc) and acc + bound < _EXACT
+        for acc in (ctrl._walk_cursor, ctrl.stats.walk_cycles)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -401,17 +583,17 @@ def _replay_stall_free(core, fold: _Fold, share: float
     return layer_cycles, comp_sum
 
 
-def _replay_paging(core, fold: _Fold, pte_map, share: float,
-                   ctrl: IOMMU) -> Tuple[float, float]:
+def _replay_paging(core, fold: _Fold, walk: _StackWalk, pte_map,
+                   share: float, ctrl: IOMMU) -> Tuple[float, float]:
     """Replay one layer under a precheck-proven IOMMU/sMMU.
 
-    The IOTLB is replayed on an ``OrderedDict`` copy (``move_to_end`` /
-    ``popitem(last=False)`` — the cache's own LRU primitives) swapped
-    back in at layer end; walk stalls replay sequentially with the exact
-    sequential-overlap rule of :meth:`IOMMU._translate_page`.  The DMA
-    transfer histogram's ``observe`` is inlined field for field (same
-    accumulator order, same reservoir RNG draws) — this loop runs once
-    per page of every transfer and dominates the fast path's cost.
+    Works per transfer from the layer's stack walk: an E-entry IOTLB
+    hits the pages found at depth below E and walks the rest, charged as
+    missed jumps × ``walk_cycles`` plus missed sequential pages ×
+    ``walk_cycles * SEQUENTIAL_OVERLAP`` (exact: see
+    :func:`_walk_sums_exact`), and ends holding the walk's last E stack
+    keys.  The DMA transfer histogram's ``observe`` is inlined field for
+    field (same accumulator order, same reservoir RNG draws).
     """
     dma = core.dma
     stats = dma.stats
@@ -433,11 +615,9 @@ def _replay_paging(core, fold: _Fold, pte_map, share: float,
     busy = systolic.busy_cycles
     cstats = ctrl.stats
     iotlb = ctrl.iotlb
-    tlb = OrderedDict(iotlb._cache)
     entries = iotlb.entries
     walk_cost = ctrl.walk_cycles
     walk_seq = walk_cost * ctrl.SEQUENTIAL_OVERLAP
-    last_vpage = ctrl._last_vpage
     walk_cycles_acc = cstats.walk_cycles
     walk_cursor = ctrl._walk_cursor
     hits = 0
@@ -450,31 +630,27 @@ def _replay_paging(core, fold: _Fold, pte_map, share: float,
     seg_last = 0.0
     comp_sum = 0.0
     clock = None  # cursor value stamped on the audit ledger's clock
-    tlb_move_end = tlb.move_to_end
-    tlb_pop_first = tlb.popitem
-    tlb_len = len(tlb)
     stream_get = stream_cache.get
-    for loads, stores, compute, macs in fold.iters:
+    for loads, stores, compute, macs in walk.iters:
         load = 0
-        for size, pages in loads:
+        for size, n, jumps, found, found_jumps in loads:
             clock = cursor
-            pending = 0.0
-            for vpage in pages:
-                if vpage in tlb:
-                    tlb_move_end(vpage)
-                    hits += 1
-                else:
-                    walks += 1
-                    stall = walk_seq if vpage == last_vpage + 1 else walk_cost
-                    walk_cycles_acc += stall
-                    pending += stall
-                    walk_cursor += stall
-                    if tlb_len >= entries:
-                        tlb_pop_first(False)
-                    else:
-                        tlb_len += 1
-                    tlb[vpage] = None
-                last_vpage = vpage
+            if found:
+                hit = bisect_left(found, entries)
+                hit_jumps = bisect_left(found_jumps, entries)
+                hits += hit
+                missed = n - hit
+            else:
+                hit_jumps = 0
+                missed = n
+            if missed:
+                walks += missed
+                pending = ((jumps - hit_jumps) * walk_cost
+                           + (missed - jumps + hit_jumps) * walk_seq)
+                walk_cycles_acc += pending
+                walk_cursor += pending
+            else:
+                pending = 0.0
             stall_acc += pending
             stream = stream_get(size)
             if stream is None:
@@ -504,25 +680,24 @@ def _replay_paging(core, fold: _Fold, pte_map, share: float,
                     samples[slot] = (cursor, cycles)
             load = load + cycles
         store = 0
-        for size, pages in stores:
+        for size, n, jumps, found, found_jumps in stores:
             clock = cursor
-            pending = 0.0
-            for vpage in pages:
-                if vpage in tlb:
-                    tlb_move_end(vpage)
-                    hits += 1
-                else:
-                    walks += 1
-                    stall = walk_seq if vpage == last_vpage + 1 else walk_cost
-                    walk_cycles_acc += stall
-                    pending += stall
-                    walk_cursor += stall
-                    if tlb_len >= entries:
-                        tlb_pop_first(False)
-                    else:
-                        tlb_len += 1
-                    tlb[vpage] = None
-                last_vpage = vpage
+            if found:
+                hit = bisect_left(found, entries)
+                hit_jumps = bisect_left(found_jumps, entries)
+                hits += hit
+                missed = n - hit
+            else:
+                hit_jumps = 0
+                missed = n
+            if missed:
+                walks += missed
+                pending = ((jumps - hit_jumps) * walk_cost
+                           + (missed - jumps + hit_jumps) * walk_seq)
+                walk_cycles_acc += pending
+                walk_cursor += pending
+            else:
+                pending = 0.0
             stall_acc += pending
             stream = stream_get(size)
             if stream is None:
@@ -578,12 +753,15 @@ def _replay_paging(core, fold: _Fold, pte_map, share: float,
     cstats.walk_cycles = walk_cycles_acc
     iotlb.hits += hits
     iotlb.misses += walks
-    # Pages inserted during replay carry a None sentinel (the PTE value is
-    # never read while replaying); resolve them from pte_map on swap-in.
-    # Carried-over entries keep their original PTE objects.
-    iotlb._cache = OrderedDict(
-        (p, v if v is not None else pte_map[p]) for p, v in tlb.items()
-    )
+    # The IOTLB is the top of the walk's final stack.  Touched pages map
+    # to the table's current PTE (carried-over ones already did: see
+    # _carried_current); untouched ones keep this IOTLB's own entry.
+    carried = iotlb._cache
+    tlb = OrderedDict()
+    for vpage in walk.keys[-entries:]:
+        pte = pte_map.get(vpage)
+        tlb[vpage] = carried[vpage] if pte is None else pte
+    iotlb._cache = tlb
     if hist is not NULL_HISTOGRAM:
         # The null histogram's observe() is a no-op: leave the shared
         # singleton untouched, exactly like the event path does.
@@ -592,7 +770,7 @@ def _replay_paging(core, fold: _Fold, pte_map, share: float,
         hist.min = h_min
         hist.max = h_max
     ctrl._pending_walk_cycles = pending
-    ctrl._last_vpage = last_vpage
+    ctrl._last_vpage = walk.last
     ctrl._walk_cursor = walk_cursor
     if walks:
         telemetry.profiler.count("iotlb.walks", walks)
@@ -662,10 +840,16 @@ class FastRun:
         else:
             eff_worlds = tuple(fold.worlds)
         pte_map = shared.paging_proof(ctrl, eff_worlds)
-        if pte_map is None:
+        if pte_map is None or not _carried_current(ctrl.iotlb._cache,
+                                                   pte_map):
             _fallback("iommu_unprovable")
             return None
-        result = _replay_paging(self.core, fold, pte_map, self.share, ctrl)
+        walk = shared.stack_walk(ctrl)
+        if not _walk_sums_exact(ctrl, walk.pages):
+            _fallback("walk_cost")
+            return None
+        result = _replay_paging(self.core, fold, walk, pte_map, self.share,
+                                ctrl)
         _count("fast_layers")
         return result
 
@@ -708,5 +892,9 @@ def begin_run(core, share: float, flush: Optional[str]) -> Optional[FastRun]:
     if kind is None:
         # Unknown controller subclass: its handle() may do anything.
         _fallback("controller")
+        return None
+    if kind in ("iommu", "smmu") and not _walk_costs_exact(ctrl):
+        # The replay charges walks as count x cost (_walk_sums_exact).
+        _fallback("walk_cost")
         return None
     return FastRun(core, share, ctrl, kind)

@@ -323,7 +323,9 @@ class RunStore:
         if directory:
             os.makedirs(directory, exist_ok=True)
         conn = sqlite3.connect(self.path)
-        conn.executescript(_SCHEMA)
+        # One transaction: run in autocommit, the 13 CREATEs of a fresh
+        # archive would commit (and sync) one by one.
+        conn.executescript(f"BEGIN;{_SCHEMA}COMMIT;")
         conn.execute(
             "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
             ("schema_version", str(SCHEMA_VERSION)),

@@ -1,4 +1,4 @@
-"""Cold start: a CLI verb that moves no bytes never loads numpy.
+"""Cold start: each CLI verb imports only what it runs.
 
 numpy backs the scratchpad's payload and ID arrays, which are allocated
 on first access, and the functional and attack paths.  The timing
@@ -8,12 +8,18 @@ command of ``test_cli_contract``'s determinism table and the timing
 verbs below through ``repro.cli.main``, and checks after each that
 ``numpy`` is still absent from ``sys.modules``.  ``attacks`` runs last
 and must load it, which shows the probe sees the import.
+
+Likewise, ``repro`` re-exports ``SoC`` lazily and experiments are
+imported when they run, so serving, reports and the Fig. 13/15 timing
+figures never load the SoC, its monitor or the NoC.
 """
 
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 from tests.integration.test_cli_contract import DETERMINISM, ROOT, _argv
 
@@ -51,3 +57,47 @@ def test_no_numpy_until_bytes_move(tmp_path):
         timeout=600,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+#: Verbs that never build an SoC.
+SOC_FREE = [
+    "serve default --mechanism snpu --duration 300",
+    "report -o {tmp}/report.html",
+    "experiments fig13 --profile tiny --no-cache",
+    "experiments fig15 --profile tiny --no-cache",
+]
+
+SOC_PROBE = """
+import json
+import sys
+
+import repro.cli
+
+SOC = ("repro.soc", "repro.monitor", "repro.noc")
+for argv in json.loads(sys.argv[1]):
+    code = repro.cli.main(argv)
+    assert code == 0, f"{' '.join(argv)} exited {code}"
+    loaded = [name for name in sys.modules
+              if name in SOC or name.startswith(tuple(m + "." for m in SOC))]
+    assert not loaded, f"{' '.join(argv)} loaded {loaded}"
+"""
+
+
+def test_soc_free_verbs_never_import_the_soc(tmp_path):
+    argvs = [_argv(command, tmp_path) for command in SOC_FREE]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", SOC_PROBE, json.dumps(argvs)],
+        cwd=str(tmp_path), env=env, capture_output=True, text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_package_reexports_resolve_lazily():
+    import repro
+    from repro.soc import SoC
+
+    assert repro.SoC is SoC
+    with pytest.raises(AttributeError, match="no_such_name"):
+        repro.no_such_name

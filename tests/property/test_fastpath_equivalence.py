@@ -12,12 +12,14 @@ event path (bumping ``sim.fastpath.fallbacks``) and still produce
 identical outcomes — including identical exceptions and identical
 partially-mutated statistics when the run faults.  A sweep of one
 program under many controllers (``run_sweep``) equals the same fresh
-cores run one at a time, on either timing path.
+cores run one at a time, on either timing path, and one LRU-stack walk
+serves every nested IOTLB exactly as the event path's own IOTLB does.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -25,10 +27,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.common.types import AddressRange, Permission, World
+from repro.common.types import AddressRange, DmaRequest, Permission, World
 from repro.driver.compiler import TilingCompiler
 from repro.memory.dram import DRAMModel
-from repro.memory.pagetable import PageTable
+from repro.memory.pagetable import PageTable, PageTableEntry
 from repro.mmu.base import NoProtection
 from repro.mmu.guarder import NPUGuarder
 from repro.mmu.iommu import IOMMU
@@ -466,3 +468,177 @@ def test_flush_sweep_equals_runs_one_at_a_time(model_name):
         "fallbacks": len(SWEEP_CONTROLLERS),
         "fallbacks.flush": len(SWEEP_CONTROLLERS),
     }
+
+
+# ----------------------------------------------------------------------
+# Stack walk: one LRU-stack walk per layer serves every nested IOTLB
+# ----------------------------------------------------------------------
+#: A small page universe, so streams re-touch pages at every depth.
+_UNIVERSE = 48
+
+_transfer_pages = st.one_of(
+    # A contiguous run.
+    st.tuples(st.integers(0, _UNIVERSE - 1), st.integers(1, 12)).map(
+        lambda run: tuple(range(run[0], run[0] + run[1]))),
+    # Any pages: jumps and pages repeated inside one transfer.
+    st.lists(st.integers(0, _UNIVERSE - 1), min_size=1, max_size=8).map(
+        tuple),
+)
+
+
+@st.composite
+def _walk_cases(draw):
+    sizes = sorted(draw(st.sets(st.integers(1, 32), min_size=1,
+                                max_size=4)))
+    start = draw(st.lists(st.integers(0, _UNIVERSE - 1), unique=True,
+                          max_size=sizes[-1]))
+    last = draw(st.one_of(st.just(-2), st.integers(-1, _UNIVERSE)))
+    iters = draw(st.lists(
+        st.tuples(st.lists(_transfer_pages, max_size=3),
+                  st.lists(_transfer_pages, max_size=2)),
+        min_size=1, max_size=40))
+    cost = 2.0 * draw(st.integers(0, 60))
+    return sizes, start, last, iters, cost
+
+
+def _event_transfers(iommu, iters):
+    """``(pending, hits, walks)`` per transfer on the event path's own
+    IOTLB and ``_translate_page`` stall rule."""
+    request = DmaRequest(vaddr=0, size=64, is_write=False)
+    out = []
+    for loads, stores in iters:
+        for pages in loads + stores:
+            hits, misses = iommu.iotlb.hits, iommu.iotlb.misses
+            iommu._pending_walk_cycles = 0.0
+            for vpage in pages:
+                iommu._translate_page(vpage, request)
+                iommu._last_vpage = vpage
+            out.append((iommu._pending_walk_cycles,
+                        iommu.iotlb.hits - hits,
+                        iommu.iotlb.misses - misses))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_walk_cases())
+def test_stack_walk_serves_every_nested_iotlb(case):
+    """One walk from the deepest IOTLB gives every nested IOTLB exactly
+    the event path's per-transfer stalls, hits and walks, and leaves it
+    with the same keys, order and PTE objects."""
+    sizes, start, last, iters, cost = case
+    config = NPUConfig.paper_default()
+    table = PageTable()
+    mapped = _UNIVERSE + 12  # contiguous runs reach past the universe
+    table.map_range(0, 0, mapped * 4096)
+    fold = fastpath._Fold()
+    fold.iters = [
+        (tuple((64, pages) for pages in loads),
+         tuple((64, pages) for pages in stores), 1.0, 0)
+        for loads, stores in iters
+    ]
+    walk = fastpath._stack_walk(fold, tuple(start), last, sizes[-1])
+    # The precheck's map covers exactly the touched pages, and the proof
+    # needs carried-over entries among them to be the table's own PTEs.
+    pte_map = {vpage: table.lookup(vpage)
+               for loads, stores in iters for pages in loads + stores
+               for vpage in pages}
+    carried = {vpage: pte_map.get(vpage) or PageTableEntry(ppage=vpage)
+               for vpage in start}
+
+    def warm(entries):
+        iommu = IOMMU(table, iotlb_entries=entries, walk_cycles=cost)
+        for vpage in start[-entries:]:
+            iommu.iotlb.insert(vpage, carried[vpage])
+        iommu._last_vpage = last
+        return iommu
+
+    records = [record for loads, stores, _c, _m in walk.iters
+               for record in loads + stores]
+    with telemetry.scoped(trace=False):
+        for entries in sizes:
+            event = warm(entries)
+            expected = _event_transfers(event, iters)
+            # The walk's records, read the way the replay reads them.
+            assert [
+                (bisect_left(found, entries), n - bisect_left(found, entries))
+                for _size, n, _jumps, found, _found_jumps in records
+            ] == [(hits, walks) for _pending, hits, walks in expected]
+            # The replay itself: per-transfer cycles carry the stalls.
+            fast = warm(entries)
+            core = NPUCore(config, fast, DRAMModel(config.dram_bytes_per_cycle))
+            fastpath._replay_paging(core, fold, walk, pte_map, 1.0, fast)
+            stream = core.dma.dram.transfer_cycles(64, 1.0)
+            assert [cycles for _cursor, cycles in
+                    core.dma._h_transfer.samples] == [
+                core.dma.ISSUE_CYCLES + pending + stream
+                for pending, _hits, _walks in expected
+            ]
+            assert list(fast.iotlb._cache) == list(event.iotlb._cache)
+            assert all(fast.iotlb._cache[vpage] is pte
+                       for vpage, pte in event.iotlb._cache.items())
+            assert (fast._last_vpage, fast._walk_cursor,
+                    fast._pending_walk_cycles, fast.stats.walk_cycles,
+                    fast.iotlb.hits, fast.iotlb.misses) == (
+                event._last_vpage, event._walk_cursor,
+                event._pending_walk_cycles, event.stats.walk_cycles,
+                event.iotlb.hits, event.iotlb.misses)
+
+
+def _warm_apart(cores, program):
+    """Give each IOMMU its own IOTLB, none the top of another's."""
+    table = cores[0].controller.page_table
+    pages = sorted(table._entries)
+    for n, core in enumerate(cores):
+        iommu = core.controller
+        for vpage in pages[n::len(cores)][:iommu.iotlb.entries]:
+            iommu.iotlb.insert(vpage, table.lookup(vpage))
+        iommu._last_vpage = pages[n]
+
+
+@pytest.mark.parametrize("model_name", TINY_ZOO[:2])
+def test_sweep_from_non_nested_iotlbs(model_name, monkeypatch):
+    """IOMMUs that start the sweep from unrelated IOTLB states each walk
+    from their own state, and end bit-identical to the same cores run
+    one at a time and on the event simulator."""
+    model = next(m for m in zoo.paper_models("tiny") if m.name == model_name)
+    config = NPUConfig.paper_default()
+    program = TilingCompiler(config).compile(model)
+    walks = []
+    real = fastpath._stack_walk
+
+    def counting(*args):
+        walks.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(fastpath, "_stack_walk", counting)
+
+    def run(sweep, fast=True):
+        with fastpath.forced(fast), telemetry.scoped(trace=False) as scope:
+            table = _identity_table(program)
+            dram = DRAMModel(config.dram_bytes_per_cycle)
+            cores = [NPUCore(config, IOMMU(table, iotlb_entries=n), dram)
+                     for n in (4, 8, 16, 32)]
+            _warm_apart(cores, program)
+            if sweep:
+                results = run_sweep(cores, program)
+            else:
+                results = [core.run_detailed(program) for core in cores]
+            state = dict(
+                results=[dataclasses.asdict(result) for result in results],
+                cores=[_core_state(core) for core in cores],
+            )
+            counts = _fast_counters(scope.metrics.snapshot())
+        return state, counts
+
+    swept, swept_counts = run(sweep=True)
+    n_walks = len(walks)
+    single, single_counts = run(sweep=False)
+    event, event_counts = run(sweep=False, fast=False)
+    _assert_identical(single, swept)
+    _assert_identical(event, swept)
+    assert swept_counts == single_counts == {
+        "fast_layers": 4 * len(program.layers)}
+    assert event_counts == {}
+    # The first layer cannot share a walk: four states, four walks.
+    assert n_walks > len(program.layers)
+    assert len({start for start in walks[:4]}) == 4

@@ -9,8 +9,10 @@ and unknown controller subclasses.  The fast path keeps no state across
 ``run_detailed`` calls: a repeated run equals the event run, a later
 run re-proves the controller it is given, and no layer object gains an
 attribute.  A sweep (``run_sweep``) folds each layer once for all its
-cores, proves a page table its paging cores share once per layer, and
-drops the fold before the next layer.
+cores, proves a page table its paging cores share once per layer, walks
+the pages of its nested IOTLBs once per layer, and drops the fold before
+the next layer.  A walk cost that is not an integer, or a warm IOTLB
+entry the table has since remapped, takes the event path.
 """
 
 from __future__ import annotations
@@ -501,3 +503,101 @@ def test_distinct_proof_inputs_are_proved_per_core(config, compiler,
         counters = _counters(scope.metrics.snapshot())
     assert len(proofs) == len(ctrls) * len(program.layers)
     assert counters == {"fast_layers": len(ctrls) * len(program.layers)}
+
+
+# ----------------------------------------------------------------------
+# Stack walks: one per layer per sweep, and the two proof conditions
+# ----------------------------------------------------------------------
+def test_fig13_sweep_walks_each_layer_once(config, compiler, monkeypatch):
+    """Fig. 13's sweep shape (a Guarder, then IOMMUs of 4, 8, 16 and 32
+    entries over one table) walks each layer's pages once; the same
+    IOMMUs run one at a time walk them once each."""
+    from repro.mmu.iommu import IOMMU
+
+    program = compiler.compile(synthetic_cnn())
+    dram = DRAMModel(config.dram_bytes_per_cycle)
+    walks = []
+    real = fastpath._stack_walk
+
+    def counting(fold, keys, last, depth):
+        walks.append(depth)
+        return real(fold, keys, last, depth)
+
+    monkeypatch.setattr(fastpath, "_stack_walk", counting)
+
+    def cores():
+        table = _identity_table(program)
+        return [NPUCore(config, _guarder(), dram)] + [
+            NPUCore(config, IOMMU(table, iotlb_entries=n), dram)
+            for n in (4, 8, 16, 32)]
+
+    with telemetry.scoped(trace=False) as scope:
+        swept = run_sweep(cores(), program)
+        counters = _counters(scope.metrics.snapshot())
+    n_layers = len(program.layers)
+    assert walks == [32] * n_layers
+    assert counters == {"fast_layers": 5 * n_layers}
+    walks.clear()
+    with telemetry.scoped(trace=False):
+        single = [core.run_detailed(program) for core in cores()]
+    assert sorted(walks) == sorted([4, 8, 16, 32] * n_layers)
+    assert [r.cycles for r in swept] == [r.cycles for r in single]
+
+
+def _iommu_runs(program, config, controller, before=None):
+    """*controller*'s run of *program* on the fast path (with its
+    ``sim.fastpath`` counters) and on the event simulator; *before*
+    prepares each leg's controller first."""
+    legs = []
+    for fast in (True, False):
+        with fastpath.forced(fast), telemetry.scoped(trace=False) as scope:
+            ctrl = controller()
+            if before is not None:
+                before(ctrl)
+            core = NPUCore(config, ctrl,
+                           DRAMModel(config.dram_bytes_per_cycle))
+            result = core.run_detailed(program)
+            legs.append((
+                result.cycles, [lay.cycles for lay in result.layers],
+                vars(ctrl.stats).copy(), list(ctrl.iotlb._cache.items()),
+                ctrl._walk_cursor, _counters(scope.metrics.snapshot()),
+            ))
+    (*fast, counters), (*event, _) = legs
+    return fast, event, counters
+
+
+def test_fractional_walk_cost_takes_the_event_path(config, compiler):
+    """A 37-cycle walk overlaps to 18.5 cycles: count x cost is not
+    proven exact, so the whole run takes the event simulator."""
+    from repro.mmu.iommu import IOMMU
+
+    program = compiler.compile(synthetic_cnn())
+    fast, event, counters = _iommu_runs(
+        program, config,
+        lambda: IOMMU(_identity_table(program), 16, walk_cycles=37.0))
+    assert counters == {"fallbacks": 1, "fallbacks.walk_cost": 1}
+    assert fast == event
+
+
+def test_table_remapped_under_a_warm_iotlb_is_unprovable(config, compiler):
+    """A warm IOTLB whose entries the table has since remapped (new PTE
+    objects) holds entries the precheck did not prove: layers touching
+    them take the event path, which hits the stale entries."""
+    from repro.mmu.iommu import IOMMU
+
+    program = compiler.compile(synthetic_cnn())
+    table = _identity_table(program)
+
+    def warm_then_remap(ctrl):
+        with fastpath.forced(False):
+            NPUCore(config, ctrl, DRAMModel(config.dram_bytes_per_cycle)
+                    ).run_detailed(program)
+        for vpage in list(ctrl.iotlb._cache):
+            table.map_page(vpage, vpage)
+
+    fast, event, counters = _iommu_runs(
+        program, config, lambda: IOMMU(table, iotlb_entries=16),
+        before=warm_then_remap)
+    assert counters.get("fallbacks.iommu_unprovable", 0) >= 1
+    assert counters["fallbacks"] == counters["fallbacks.iommu_unprovable"]
+    assert fast == event

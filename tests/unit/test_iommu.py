@@ -85,6 +85,20 @@ class TestIOMMUTranslation:
         second = iommu.stats.walk_cycles - first
         assert second == pytest.approx(first * IOMMU.SEQUENTIAL_OVERLAP)
 
+    def test_default_walk_cost_is_read_at_construction(self, monkeypatch):
+        """``IOMMU.DEFAULT_WALK_CYCLES`` is the one override point of the
+        walk cost: an IOMMU or sMMU built after it is assigned walks at
+        the new cost."""
+        from repro.mmu.smmu import TrustZoneSMMU
+
+        monkeypatch.setattr(IOMMU, "DEFAULT_WALK_CYCLES", 96.0)
+        table = PageTable()
+        table.map_range(0, 0x100000, 4 * PAGE_SIZE)
+        for mmu in (IOMMU(table), TrustZoneSMMU(table)):
+            outcome = mmu.handle(DmaRequest(vaddr=0, size=64, is_write=False))
+            assert mmu.walk_cycles == 96.0
+            assert outcome.extra_cycles == mmu.stats.walk_cycles == 96.0
+
     def test_unmapped_faults(self):
         iommu = make_iommu(pages=1)
         with pytest.raises(TranslationFault):

@@ -128,6 +128,53 @@ class TestIngest:
         (run,) = store.runs_by_recency()
         assert int(run["seed"]) == seed
 
+    def test_fresh_archive_is_created_in_one_transaction(self, tmp_path,
+                                                         monkeypatch):
+        """A fresh archive commits its schema once, and its schema rows
+        and content equal those of one whose 13 CREATE statements ran in
+        autocommit."""
+        import sqlite3
+
+        from repro.store import store as store_module
+
+        reference = str(tmp_path / "reference.sqlite")
+        conn = sqlite3.connect(reference)
+        conn.executescript(store_module._SCHEMA)
+        conn.close()
+        statements = []
+        connect = sqlite3.connect
+
+        def tracing(*args, **kwargs):
+            conn = connect(*args, **kwargs)
+            conn.set_trace_callback(statements.append)
+            return conn
+
+        monkeypatch.setattr(store_module.sqlite3, "connect", tracing)
+        fresh = RunStore(str(tmp_path / "fresh.sqlite"))
+        fresh.ingest(_record())
+        monkeypatch.undo()
+        statements = [s.strip().rstrip(";") for s in statements]
+        creates = [i for i, s in enumerate(statements)
+                   if s.startswith("CREATE")]
+        assert len(creates) == 13
+        assert statements[creates[0] - 1] == "BEGIN"
+        assert statements[creates[-1] + 1] == "COMMIT"
+        assert "COMMIT" not in statements[creates[0]:creates[-1]]
+        old = RunStore(reference)
+        old.ingest(_record())
+
+        def schema(path):
+            conn = sqlite3.connect(path)
+            try:
+                return conn.execute(
+                    "SELECT type, name, tbl_name, sql FROM sqlite_master"
+                    " ORDER BY name").fetchall()
+            finally:
+                conn.close()
+
+        assert schema(fresh.path) == schema(old.path)
+        assert fresh.dump() == old.dump()
+
     def test_missing_store_raises_store_error(self, tmp_path):
         with pytest.raises(StoreError):
             RunStore(str(tmp_path / "nope.sqlite")).query("SELECT 1")
