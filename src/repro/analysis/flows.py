@@ -7,8 +7,8 @@ folds them into a :class:`FlowReport` — the object behind ``repro flows``:
   security cycles, in total and per stage, exactly (the records carry
   rational components that sum to the end-to-end latency by
   construction, so the report's totals do too).
-* **Stage percentiles** — p50/p95/p99 of each stage's span duration via
-  the telemetry :class:`~repro.telemetry.metrics.Histogram`.
+* **Stage percentiles** — exact nearest-rank p50/p95/p99 of each
+  stage's span duration (:func:`~repro.telemetry.metrics.nearest_rank`).
 * **Per-layer critical paths** — flows grouped by issuing context (the
   NPU layer name); each group reports its dominant ("critical") stage.
 * **Top-K slowest flows** — with their full stage breakdowns, the
@@ -22,12 +22,13 @@ folds them into a :class:`FlowReport` — the object behind ``repro flows``:
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.telemetry.flow import FlowRecord
-from repro.telemetry.metrics import Histogram
+from repro.telemetry.metrics import nearest_rank
 
 _ZERO = Fraction(0)
 
@@ -44,11 +45,8 @@ class StageStat:
     queueing: Fraction = _ZERO
     service: Fraction = _ZERO
     security: Fraction = _ZERO
-    histogram: Histogram = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.histogram is None:
-            self.histogram = Histogram(f"flow.stage.{self.stage}")
+    #: Span duration (as a float) -> how many spans took it.
+    durations: Counter = field(default_factory=Counter)
 
     @property
     def total(self) -> Fraction:
@@ -60,10 +58,10 @@ class StageStat:
         self.queueing += queueing
         self.service += service
         self.security += security
-        self.histogram.observe(float(queueing + service + security))
+        self.durations[float(queueing + service + security)] += 1
 
     def percentiles(self) -> Dict[str, float]:
-        return {f"p{p}": self.histogram.percentile(p) for p in PERCENTILES}
+        return {f"p{p}": nearest_rank(self.durations, p) for p in PERCENTILES}
 
     def to_dict(self) -> Dict[str, Any]:
         return {

@@ -264,7 +264,7 @@ class MultiTaskScheduler:
                 ib += 1
                 t_b = t
                 q_task = model_b.name
-            self._h_quantum.observe(t - q_start, cycle=q_start)
+            self._h_quantum.observe(t - q_start)
             telemetry.profiler.attribute("scheduler.quantum", t - q_start)
             telemetry.profiler.count("scheduler.quanta")
             if tracer.enabled:

@@ -152,6 +152,8 @@ class WormholeNetwork:
             start=start, finish=finish,
         )
         self.outcomes.append(outcome)
+        self._h_latency.observe(outcome.latency)
+        self._h_queueing.observe(outcome.queueing)
         if flows.enabled and flow_id is not None:
             # Real queueing here: link arbitration holds the head at the
             # injection port until the whole path is free.

@@ -139,7 +139,7 @@ class NPUCore:
         self._m_layers.inc()
         self._m_cycles.add(cycles)
         self._m_flush.add(flush_cycles)
-        self._h_layer.observe(cycles, cycle=self._cursor)
+        self._h_layer.observe(cycles)
         tracer = telemetry.tracer
         if tracer.enabled:
             tracer.span(

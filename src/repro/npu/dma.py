@@ -211,7 +211,7 @@ class DMAEngine:
                 track=self._track,
             )
         self.cursor += cycles
-        self._h_transfer.observe(cycles, cycle=self.cursor)
+        self._h_transfer.observe(cycles)
 
         if self.trace is not None:
             self.trace.append(

@@ -39,7 +39,7 @@ from repro.serving.queueing import (
     ServeOutcome,
     ServeSimulator,
 )
-from repro.serving.report import ServeReport, TenantReport, nearest_rank
+from repro.serving.report import ServeReport, TenantReport
 from repro.serving.workload import (
     SCENARIOS,
     Request,
@@ -70,7 +70,6 @@ __all__ = [
     "ServeWindows",
     "ServeReport",
     "TenantReport",
-    "nearest_rank",
     "SCENARIOS",
     "Request",
     "Scenario",

@@ -4,8 +4,9 @@
 :class:`repro.serving.report.ServeReport`: while the simulator runs it
 buckets every arrival, completion, flush and world switch into tumbling
 windows of ``window_ms`` simulated milliseconds
-(:mod:`repro.telemetry.windows`), keeps a per-tenant latency reservoir
-per window, and — when an audit ledger is live — counts per-tenant
+(:mod:`repro.telemetry.windows`), keeps a per-tenant exact latency
+histogram per window (nearest-rank p50/p99 over every request that
+completed in it), and — when an audit ledger is live — counts per-tenant
 denials from the decision stream.  ``repro watch`` renders the timeline
 as it would have scrolled past an operator; ``repro slo`` evaluates SLO
 specs against it.
@@ -186,7 +187,7 @@ class ServeWindows:
                 "denies": int(self.denies[tenant].bucket(window)),
                 # Null percentiles when the tenant completed nothing in
                 # this window — never 0.0, never a stale previous-window
-                # value (each window is its own reservoir epoch).
+                # value (each window has its own histogram).
                 "p50_ms": None if p50 is None else p50 / per_ms,
                 "p99_ms": None if p99 is None else p99 / per_ms,
                 "mean_ms": None if mean is None else mean / per_ms,

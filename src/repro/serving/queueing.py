@@ -409,7 +409,7 @@ class ServeSimulator:
     ) -> None:
         latency = completion - req.arrival
         self._m_completed.inc()
-        self._h_latency.observe(latency, cycle=completion)
+        self._h_latency.observe(latency)
         if self.windows is not None:
             self.windows.on_completion(
                 completion, req.tenant, latency,

@@ -1,6 +1,7 @@
 """Per-tenant SLA reporting for one serving run.
 
-Percentiles use the nearest-rank method (the value at ceil(p/100 * n),
+Percentiles are nearest rank (:func:`repro.telemetry.metrics.nearest_rank`,
+the repo's one percentile definition: the value at ceil(p/100 * n),
 1-indexed, of the sorted sample) — exact, deterministic, and never an
 interpolated value that no request actually experienced.  A tenant with
 **zero completed requests** reports ``None`` percentiles and an
@@ -15,23 +16,13 @@ determinism tests rely on.
 from __future__ import annotations
 
 import json
-import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.serving.queueing import CompletedRequest, ServeOutcome
 from repro.serving.workload import Scenario
-
-
-def nearest_rank(sorted_values: List[float], pct: float) -> Optional[float]:
-    """Nearest-rank percentile of an ascending-sorted sample.
-
-    An empty sample has no percentile: returns None (a caller that wants
-    a sentinel picks its own — 0.0 here would masquerade as a latency)."""
-    if not sorted_values:
-        return None
-    rank = max(1, math.ceil(pct / 100.0 * len(sorted_values)))
-    return sorted_values[min(rank, len(sorted_values)) - 1]
+from repro.telemetry.metrics import nearest_rank
 
 
 @dataclass
@@ -86,9 +77,10 @@ def tenant_stats(
     mean = sum(latencies) / n
     mean_wait = sum(c.wait for c in completed) / n
     ok = sum(1 for c in completed if c.sla_ok)
-    p50 = nearest_rank(latencies, 50.0)
-    p95 = nearest_rank(latencies, 95.0)
-    p99 = nearest_rank(latencies, 99.0)
+    counts = Counter(latencies)
+    p50 = nearest_rank(counts, 50.0)
+    p95 = nearest_rank(counts, 95.0)
+    p99 = nearest_rank(counts, 99.0)
     assert p50 is not None and p95 is not None and p99 is not None
     return TenantReport(
         tenant=name,

@@ -546,7 +546,7 @@ def _replay_stall_free(core, fold: _Fold, share: float
             stream_acc += stream
             clock = cursor
             cursor += cycles
-            observe(cycles, cycle=cursor)
+            observe(cycles)
             load = load + cycles
         store = 0
         for size, _pages in stores:
@@ -559,7 +559,7 @@ def _replay_stall_free(core, fold: _Fold, share: float
             stream_acc += stream
             clock = cursor
             cursor += cycles
-            observe(cycles, cycle=cursor)
+            observe(cycles)
             store = store + cycles
         busy += compute
         comp_sum += compute
@@ -593,19 +593,16 @@ def _replay_paging(core, fold: _Fold, walk: _StackWalk, pte_map,
     ``walk_cycles * SEQUENTIAL_OVERLAP`` (exact: see
     :func:`_walk_sums_exact`), and ends holding the walk's last E stack
     keys.  The DMA transfer histogram's ``observe`` is inlined field for
-    field (same accumulator order, same reservoir RNG draws).
+    field (same accumulator order); a disabled registry's shared null
+    histogram is left untouched, as its no-op ``observe`` leaves it.
     """
     dma = core.dma
     stats = dma.stats
     hist = dma._h_transfer
     h_count = hist.count
     h_total = hist.total
-    h_min = hist.min
-    h_max = hist.max
-    samples = hist.samples
-    samples_append = samples.append
-    max_samples = hist.max_samples
-    getrandbits = hist._rng.getrandbits
+    h_counts = hist.counts if hist is not NULL_HISTOGRAM else {}
+    h_get = h_counts.get
     issue = dma.ISSUE_CYCLES
     cursor = dma.cursor
     stream_acc = stats.stream_cycles
@@ -660,24 +657,10 @@ def _replay_paging(core, fold: _Fold, walk: _StackWalk, pte_map,
             issue_acc += issue
             stream_acc += stream
             cursor += cycles
-            # Inlined hist.observe(cycles, cycle=cursor):
+            # Inlined hist.observe(cycles):
             h_count += 1
             h_total += cycles
-            if h_min is None or cycles < h_min:
-                h_min = cycles
-            if h_max is None or cycles > h_max:
-                h_max = cycles
-            if len(samples) < max_samples:
-                samples_append((cursor, cycles))
-            elif max_samples > 0:
-                # Inlined Random.randrange -> _randbelow_with_getrandbits:
-                # identical getrandbits call sequence, identical draws.
-                k = h_count.bit_length()
-                slot = getrandbits(k)
-                while slot >= h_count:
-                    slot = getrandbits(k)
-                if slot < max_samples:
-                    samples[slot] = (cursor, cycles)
+            h_counts[cycles] = h_get(cycles, 0) + 1
             load = load + cycles
         store = 0
         for size, n, jumps, found, found_jumps in stores:
@@ -707,24 +690,10 @@ def _replay_paging(core, fold: _Fold, walk: _StackWalk, pte_map,
             issue_acc += issue
             stream_acc += stream
             cursor += cycles
-            # Inlined hist.observe(cycles, cycle=cursor):
+            # Inlined hist.observe(cycles):
             h_count += 1
             h_total += cycles
-            if h_min is None or cycles < h_min:
-                h_min = cycles
-            if h_max is None or cycles > h_max:
-                h_max = cycles
-            if len(samples) < max_samples:
-                samples_append((cursor, cycles))
-            elif max_samples > 0:
-                # Inlined Random.randrange -> _randbelow_with_getrandbits:
-                # identical getrandbits call sequence, identical draws.
-                k = h_count.bit_length()
-                slot = getrandbits(k)
-                while slot >= h_count:
-                    slot = getrandbits(k)
-                if slot < max_samples:
-                    samples[slot] = (cursor, cycles)
+            h_counts[cycles] = h_get(cycles, 0) + 1
             store = store + cycles
         busy += compute
         comp_sum += compute
@@ -763,12 +732,8 @@ def _replay_paging(core, fold: _Fold, walk: _StackWalk, pte_map,
         tlb[vpage] = carried[vpage] if pte is None else pte
     iotlb._cache = tlb
     if hist is not NULL_HISTOGRAM:
-        # The null histogram's observe() is a no-op: leave the shared
-        # singleton untouched, exactly like the event path does.
         hist.count = h_count
         hist.total = h_total
-        hist.min = h_min
-        hist.max = h_max
     ctrl._pending_walk_cycles = pending
     ctrl._last_vpage = walk.last
     ctrl._walk_cursor = walk_cursor

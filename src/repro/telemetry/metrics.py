@@ -5,7 +5,9 @@ the current registry (``telemetry.metrics``) under a
 ``<subsystem>.<component>`` prefix and either
 
 * creates **push** metrics (:class:`Counter`, :class:`Gauge`,
-  :class:`Histogram`) it updates on its own hot path, or
+  :class:`Histogram`) it updates on its own hot path — a histogram is
+  exact, and :func:`nearest_rank` over its value counts is the one
+  percentile definition every report in the repo uses — or
 * **binds** an existing attribute (``set.bind("misses", self.iotlb,
   "misses")``) so the value is *pulled* at snapshot time — zero cost on
   the hot path, which is how the per-packet IOTLB counters stay exact
@@ -27,9 +29,8 @@ already dropped (e.g. a SoC local to a script's ``main()``).
 from __future__ import annotations
 
 import json
-import random
-import zlib
-from typing import Any, Dict, List, Optional, Tuple, Union
+import math
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 Number = Union[int, float]
 
@@ -69,111 +70,77 @@ class Gauge:
         self.value = 0
 
 
+def nearest_rank(counts: Mapping[float, int], pct: float) -> Optional[float]:
+    """Nearest-rank *pct*-th percentile of a ``{value: multiplicity}`` sample.
+
+    The value at 1-indexed rank ``ceil(pct/100 * n)`` (at least 1, at
+    most *n*) of the ascending sample, so it is always a value some
+    observation actually took.  An empty sample has no percentile:
+    returns None (a caller that wants a sentinel picks its own).
+    """
+    n = sum(counts.values())
+    if not n:
+        return None
+    rank = min(max(1, math.ceil(pct / 100.0 * n)), n)
+    seen = 0
+    for value in sorted(counts):
+        seen += counts[value]
+        if seen >= rank:
+            break
+    return value
+
+
 class Histogram:
-    """Aggregating histogram with cycle-stamped reservoir samples.
+    """Exact histogram: every observed value with its multiplicity.
 
-    Aggregates (count / sum / min / max) are always exact.  Raw samples
-    feed percentile estimation and are retained as a **uniform random
-    reservoir** of up to *max_samples* ``(cycle, value)`` pairs
-    (Vitter's Algorithm R): once the reservoir is full, the *n*-th
-    observation replaces a random resident with probability
-    ``max_samples / n``, so every observation — first or last — has the
-    same chance of being retained.  A simple keep-first-N policy would
-    bias :meth:`percentile` toward the warm-up phase of a run and hide
-    the tail entirely once more than *max_samples* values arrive.
-
-    The reservoir's RNG is seeded from the histogram *name*, so a given
-    metric retains the same samples on every identical run — percentile
-    estimates stay deterministic and reproducible across runs and hosts.
-
-    **Epochs.**  Streaming consumers (the sliding-window aggregators in
-    :mod:`repro.telemetry.windows`) must never let one window's
-    percentiles see another window's samples, so they build one
-    histogram per window with *epoch* set to the window index: its
-    reservoir RNG seeds deterministically from ``(name, epoch)``.  Epoch
-    0 (the default) seeds exactly like the historical name-only seed.
+    ``count`` and ``total`` accumulate in observation order; ``counts``
+    maps each distinct value to how often it was observed, and
+    min / max / p50 / p99 are read from it (:func:`nearest_rank`), so
+    every percentile is exact and no observation is ever dropped.  It
+    holds one entry per distinct value: never more than the run's own
+    observations, and few for the repetitive costs of a simulated layer.
     """
 
-    __slots__ = ("name", "count", "total", "min", "max", "samples",
-                 "max_samples", "epoch", "_rng")
+    __slots__ = ("name", "count", "total", "counts")
 
-    def __init__(self, name: str, max_samples: int = 1024, epoch: int = 0):
+    def __init__(self, name: str):
         self.name = name
-        self.max_samples = max_samples
         self.count = 0
         self.total: float = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-        #: Retained raw samples as ``(cycle, value)`` pairs (current epoch).
-        self.samples: List[Tuple[float, float]] = []
-        #: Reservoir epoch (0 = the whole-run default).
-        self.epoch = int(epoch)
-        self._rng = random.Random(self._seed_for(self.epoch))
+        #: Distinct observed value -> multiplicity.
+        self.counts: Dict[float, int] = {}
 
-    def _seed_for(self, epoch: int) -> int:
-        """Deterministic per-(name, epoch) seed; epoch 0 matches the
-        historical name-only seeding."""
-        if epoch == 0:
-            return zlib.crc32(self.name.encode("utf-8"))
-        return zlib.crc32(f"{self.name}@epoch{epoch}".encode("utf-8"))
-
-    def observe(self, value: Number, cycle: float = 0.0) -> None:
+    def observe(self, value: Number) -> None:
         value = float(value)
         self.count += 1
         self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-        if len(self.samples) < self.max_samples:
-            self.samples.append((float(cycle), value))
-        elif self.max_samples > 0:
-            # Algorithm R: replace a random resident with p = k/n.
-            slot = self._rng.randrange(self.count)
-            if slot < self.max_samples:
-                self.samples[slot] = (float(cycle), value)
+        counts = self.counts
+        counts[value] = counts.get(value, 0) + 1
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def percentile(self, p: float) -> float:
-        """Estimate the *p*-th percentile from the retained reservoir.
-
-        Exact while ``count <= max_samples``; an unbiased estimate (linear
-        interpolation over the uniform reservoir) beyond that.
-        """
-        if not self.samples:
-            return 0.0
-        values = sorted(v for _c, v in self.samples)
-        if len(values) == 1:
-            return values[0]
-        rank = (p / 100.0) * (len(values) - 1)
-        lo = int(rank)
-        hi = min(lo + 1, len(values) - 1)
-        frac = rank - lo
-        return values[lo] * (1.0 - frac) + values[hi] * frac
-
     def summary(self) -> Dict[str, float]:
+        """Aggregates and nearest-rank percentiles; all zeros while empty."""
+        counts = self.counts
+        if not counts:
+            return {"count": 0, "sum": 0.0, "mean": 0.0, "min": 0.0,
+                    "max": 0.0, "p50": 0.0, "p99": 0.0}
         return {
             "count": self.count,
             "sum": self.total,
             "mean": self.mean,
-            "min": self.min if self.min is not None else 0.0,
-            "max": self.max if self.max is not None else 0.0,
-            "p50": self.percentile(50),
-            "p99": self.percentile(99),
+            "min": min(counts),
+            "max": max(counts),
+            "p50": nearest_rank(counts, 50),
+            "p99": nearest_rank(counts, 99),
         }
 
     def reset(self) -> None:
         self.count = 0
         self.total = 0.0
-        self.min = None
-        self.max = None
-        self.samples.clear()
-        self.epoch = 0
-        # Reseed so a reset histogram replays identically.
-        self._rng = random.Random(self._seed_for(0))
+        self.counts.clear()
 
 
 # ----------------------------------------------------------------------
@@ -206,9 +173,9 @@ class _NullHistogram(Histogram):
     __slots__ = ()
 
     def __init__(self):
-        super().__init__("null", max_samples=0)
+        super().__init__("null")
 
-    def observe(self, value: Number, cycle: float = 0.0) -> None:
+    def observe(self, value: Number) -> None:
         pass
 
 
@@ -244,10 +211,10 @@ class MetricSet:
             self._metrics[name] = metric
         return metric  # type: ignore[return-value]
 
-    def histogram(self, name: str, max_samples: int = 1024) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         metric = self._metrics.get(name)
         if metric is None:
-            metric = Histogram(f"{self.prefix}.{name}", max_samples=max_samples)
+            metric = Histogram(f"{self.prefix}.{name}")
             self._metrics[name] = metric
         return metric  # type: ignore[return-value]
 
@@ -291,7 +258,7 @@ class _NullMetricSet(MetricSet):
     def gauge(self, name: str) -> Gauge:
         return NULL_GAUGE
 
-    def histogram(self, name: str, max_samples: int = 1024) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         return NULL_HISTOGRAM
 
     def bind(self, name: str, obj: Any, attr: str) -> None:

@@ -20,14 +20,12 @@ Three primitives:
 * :func:`sliding_sum` — a sliding view over the trailing *span*
   tumbling buckets (the multi-window burn-rate alerts in
   :mod:`repro.telemetry.slo` are built on this).
-* :class:`WindowReservoir` — per-window latency samples for percentile
-  estimation.  Each window gets its own
-  :class:`~repro.telemetry.metrics.Histogram`, built at epoch = window
-  index, so percentiles never mix samples across a window boundary and
-  the retained sample set is deterministic per ``(name, window)``.  Its
-  value mass is held exactly, as an integer count of ``2**-1074`` units
-  (every float is a whole number of them), so no observation builds a
-  Fraction.
+* :class:`WindowReservoir` — per-window latency values with exact
+  nearest-rank percentiles.  Each window gets its own exact
+  :class:`~repro.telemetry.metrics.Histogram`, so percentiles never mix
+  observations across a window boundary.  Its value mass is held
+  exactly, as an integer count of ``2**-1074`` units (every float is a
+  whole number of them), so no observation builds a Fraction.
 
 Window indices are integer floors over exact integer ratios
 (:func:`window_of`), so bucketing builds no Fraction either.
@@ -43,7 +41,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Optional, Union
 
 from repro.errors import ConfigError, ReconciliationError
-from repro.telemetry.metrics import Histogram
+from repro.telemetry.metrics import Histogram, nearest_rank
 
 Number = Union[int, float, Fraction]
 #: An exact bucket value: an int while every amount was one.
@@ -157,49 +155,43 @@ def sliding_sum(counter: TumblingCounter, window: int, span: int) -> Fraction:
 
 
 class WindowReservoir:
-    """Per-window value samples with deterministic percentile estimation.
+    """Per-window value histograms with exact nearest-rank percentiles.
 
-    One :class:`~repro.telemetry.metrics.Histogram` per populated
-    window, built at epoch = window index, so the retained reservoir is
-    a pure function of ``(name, window, observed values)``.  Alongside the reservoir an
-    exact sum/count per window is kept (the sum of the observed floats,
-    as integer 2**-1074 units), so latency mass reconciles exactly with
-    end-of-run totals even when the reservoir itself is capped.
+    One exact :class:`~repro.telemetry.metrics.Histogram` per populated
+    window, so a window's percentiles are a pure function of the values
+    observed in it.  Alongside it an exact sum per window is kept (the
+    sum of the observed floats, as integer 2**-1074 units), so latency
+    mass reconciles exactly with end-of-run totals.
     """
 
-    __slots__ = ("name", "window_cycles", "max_samples", "_hists",
-                 "_units", "_counts", "total_count")
+    __slots__ = ("name", "window_cycles", "_hists", "_units", "total_count")
 
-    def __init__(self, name: str, window_cycles: float,
-                 max_samples: int = 4096):
+    def __init__(self, name: str, window_cycles: float):
         if window_cycles <= 0:
             raise ConfigError(
                 f"{name}: window_cycles must be positive, got {window_cycles}"
             )
         self.name = name
         self.window_cycles = float(window_cycles)
-        self.max_samples = max_samples
         self._hists: Dict[int, Histogram] = {}
         #: Sparse ``window index -> value mass in 2**-_UNIT_BITS units``.
         self._units: Dict[int, int] = {}
-        self._counts: Dict[int, int] = {}
         self.total_count = 0
 
     def observe(self, cycle: float, value: float) -> int:
         w = window_of(cycle, self.window_cycles)
         hist = self._hists.get(w)
         if hist is None:
-            hist = Histogram(self.name, self.max_samples, epoch=w)
-            self._hists[w] = hist
-        hist.observe(value, cycle=cycle)
+            hist = self._hists[w] = Histogram(self.name)
+        hist.observe(value)
         self._units[w] = self._units.get(w, 0) + _float_units(value)
-        self._counts[w] = self._counts.get(w, 0) + 1
         self.total_count += 1
         return w
 
     # ------------------------------------------------------------------
     def count(self, window: int) -> int:
-        return self._counts.get(window, 0)
+        hist = self._hists.get(window)
+        return hist.count if hist is not None else 0
 
     def window_sum(self, window: int) -> Fraction:
         return Fraction(self._units.get(window, 0), 1 << _UNIT_BITS)
@@ -210,28 +202,26 @@ class WindowReservoir:
         return Fraction(sum(self._units.values()), 1 << _UNIT_BITS)
 
     def percentile(self, window: int, p: float) -> Optional[float]:
-        """Reservoir percentile of one window; None when it saw nothing."""
+        """Nearest-rank percentile of one window; None when it saw nothing."""
         hist = self._hists.get(window)
-        if hist is None or not hist.samples:
-            return None
-        return hist.percentile(p)
+        return nearest_rank(hist.counts, p) if hist is not None else None
 
     def mean(self, window: int) -> Optional[float]:
-        n = self._counts.get(window, 0)
+        n = self.count(window)
         if not n:
             return None
         # int / int rounds correctly, as float(Fraction) does.
         return self._units[window] / (n << _UNIT_BITS)
 
     def last_window(self) -> int:
-        return max(self._counts) if self._counts else -1
+        return max(self._hists) if self._hists else -1
 
     # ------------------------------------------------------------------
     def reconcile(self, expected_count: int,
                   expected_sum: Optional[Number] = None) -> None:
         """Raise unless per-window counts (and, when given, exact value
         sums) reconcile with the end-of-run totals."""
-        count = sum(self._counts.values())
+        count = sum(hist.count for hist in self._hists.values())
         if count != self.total_count or count != int(expected_count):
             raise ReconciliationError(
                 f"{self.name}: window counts sum to {count}, end-of-run "

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -267,8 +268,7 @@ def _core_state(core) -> dict:
         busy=core.systolic.busy_cycles,
         macs_done=core.systolic.macs_done,
         check_stats=vars(ctrl.stats).copy(),
-        histogram=(hist.count, hist.total, hist.min, hist.max,
-                   list(hist.samples), hist._rng.getstate()),
+        histogram=(hist.count, hist.total, dict(hist.counts)),
     )
     if isinstance(ctrl, IOMMU):
         state["iotlb"] = (
@@ -568,11 +568,11 @@ def test_stack_walk_serves_every_nested_iotlb(case):
             core = NPUCore(config, fast, DRAMModel(config.dram_bytes_per_cycle))
             fastpath._replay_paging(core, fold, walk, pte_map, 1.0, fast)
             stream = core.dma.dram.transfer_cycles(64, 1.0)
-            assert [cycles for _cursor, cycles in
-                    core.dma._h_transfer.samples] == [
-                core.dma.ISSUE_CYCLES + pending + stream
-                for pending, _hits, _walks in expected
-            ]
+            cycles = [core.dma.ISSUE_CYCLES + pending + stream
+                      for pending, _hits, _walks in expected]
+            hist = core.dma._h_transfer
+            assert hist.counts == Counter(cycles)
+            assert (hist.count, hist.total) == (len(cycles), sum(cycles))
             assert list(fast.iotlb._cache) == list(event.iotlb._cache)
             assert all(fast.iotlb._cache[vpage] is pte
                        for vpage, pte in event.iotlb._cache.items())

@@ -269,6 +269,28 @@ def test_iommu_run_leaves_layers_unchanged(config, compiler):
     assert [sorted(vars(layer)) for layer in program.layers] == before
 
 
+def test_disabled_metrics_leave_the_null_histogram_untouched(
+        config, compiler, monkeypatch):
+    """Outside a telemetry scope every DMA engine shares the inert
+    ``NULL_HISTOGRAM``: both replays, the paging one included, leave it
+    empty."""
+    from repro.mmu.iommu import IOMMU
+    from repro.telemetry.metrics import NULL_HISTOGRAM
+
+    program = compiler.compile(synthetic_cnn())
+    replays = []
+    real = fastpath._replay_paging
+    monkeypatch.setattr(fastpath, "_replay_paging",
+                        lambda *a: replays.append(1) or real(*a))
+    dram = DRAMModel(config.dram_bytes_per_cycle)
+    for ctrl in (_guarder(),
+                 IOMMU(_identity_table(program), iotlb_entries=16)):
+        NPUCore(config, ctrl, dram).run_detailed(program)
+    assert len(replays) == len(program.layers)
+    assert (NULL_HISTOGRAM.count, NULL_HISTOGRAM.total,
+            NULL_HISTOGRAM.counts) == (0, 0.0, {})
+
+
 # ----------------------------------------------------------------------
 # Sweeps: one fold per layer, shared by every core, dropped per layer
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import telemetry
 from repro.common.types import World
 from repro.errors import ConfigError, NoCAuthError, PrivilegeError
 from repro.noc.mesh import Mesh
@@ -85,6 +86,25 @@ class TestPeepholeInNetwork:
         net = WormholeNetwork(Mesh(2, 2))
         with pytest.raises(PrivilegeError):
             net.set_world(0, World.SECURE, issuer=World.NORMAL)
+
+
+class TestTelemetry:
+    def test_histograms_observe_each_delivered_transfer(self):
+        with telemetry.scoped(trace=False, profile=False) as scope:
+            net = WormholeNetwork(Mesh(2, 2), peephole=True)
+            net.set_world(0, World.SECURE, issuer=World.SECURE)
+            with pytest.raises(NoCAuthError):
+                net.transfer(0, 1, 4096)  # rejected: not a delivery
+            net.set_world(1, World.SECURE, issuer=World.SECURE)
+            delivered = [net.transfer(0, 1, 64 * n) for n in range(1, 6)]
+            snapshot = scope.metrics.snapshot()
+        assert snapshot["noc.network.transfers"] == 5
+        for name in ("latency", "queueing"):
+            values = [getattr(outcome, name) for outcome in delivered]
+            prefix = f"noc.network.{name}_cycles"
+            assert snapshot[f"{prefix}.count"] == 5
+            assert snapshot[f"{prefix}.sum"] == sum(values)
+            assert snapshot[f"{prefix}.max"] == max(values) > 0.0
 
 
 class TestValidation:

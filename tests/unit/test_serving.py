@@ -20,8 +20,8 @@ from repro.serving import (
     TenantSpec,
     build_model,
     generate,
-    nearest_rank,
 )
+from repro.telemetry.metrics import nearest_rank
 
 #: Short admission window so unit-level simulations stay fast; the full
 #: scenario defaults are exercised by the integration suite.
@@ -290,11 +290,11 @@ class TestDeterminism:
 
 class TestReport:
     def test_nearest_rank_percentiles(self):
-        values = [float(v) for v in range(1, 101)]
+        values = {float(v): 1 for v in range(1, 101)}
         assert nearest_rank(values, 50.0) == 50.0
         assert nearest_rank(values, 99.0) == 99.0
         assert nearest_rank(values, 100.0) == 100.0
-        assert nearest_rank([42.0], 99.0) == 42.0
+        assert nearest_rank({42.0: 1}, 99.0) == 42.0
 
     def test_report_structure(self, shared_scheduler):
         sim = ServeSimulator(
@@ -326,7 +326,7 @@ class TestZeroCompletionTenants:
     null percentiles, undefined SLA) — not vanish or claim 100%."""
 
     def test_nearest_rank_empty_is_none(self):
-        assert nearest_rank([], 99.0) is None
+        assert nearest_rank({}, 99.0) is None
 
     def test_zero_completion_tenant_reports_all_none(self, shared_scheduler):
         scenario = SCENARIOS["default"]

@@ -1,8 +1,6 @@
 """Unit tests for the telemetry subsystem: metrics, tracing, export."""
 
 import json
-import random
-import zlib
 
 import pytest
 
@@ -16,6 +14,7 @@ from repro.telemetry.metrics import (
     NULL_GAUGE,
     NULL_HISTOGRAM,
     NULL_SET,
+    nearest_rank,
 )
 from repro.telemetry.trace import TraceRecorder
 
@@ -46,99 +45,32 @@ class TestGauge:
 class TestHistogram:
     def test_aggregates(self):
         h = Histogram("x")
-        for v in (1.0, 2.0, 3.0, 4.0):
+        for v in (3.0, 1.0, 4.0, 1.0, 2.0):
             h.observe(v)
-        assert h.count == 4
-        assert h.total == 10.0
-        assert h.mean == 2.5
-        assert h.min == 1.0
-        assert h.max == 4.0
+        assert h.count == 5
+        assert h.total == 11.0
+        assert h.mean == 2.2
+        assert h.counts == {3.0: 1, 1.0: 2, 4.0: 1, 2.0: 1}
+        s = h.summary()
+        assert (s["min"], s["max"]) == (1.0, 4.0)
+        # Nearest rank: the 3rd of [1, 1, 2, 3, 4] and the 5th.
+        assert (s["p50"], s["p99"]) == (2.0, 4.0)
 
-    def test_percentiles_interpolate(self):
+    def test_percentiles_are_nearest_rank(self):
         h = Histogram("x")
         for v in range(1, 101):
             h.observe(float(v))
-        assert h.percentile(50) == pytest.approx(50.5)
-        assert h.percentile(0) == 1.0
-        assert h.percentile(100) == 100.0
-
-    def test_sample_cap_keeps_aggregates_exact(self):
-        h = Histogram("x", max_samples=10)
-        for v in range(100):
-            h.observe(float(v), cycle=float(v))
-        assert h.count == 100
-        assert len(h.samples) == 10
-        assert h.max == 99.0
-
-    def test_samples_are_cycle_stamped(self):
-        h = Histogram("x")
-        h.observe(7.0, cycle=123.0)
-        assert h.samples == [(123.0, 7.0)]
+        # An observed value, never an interpolated 50.5.
+        assert nearest_rank(h.counts, 50) == 50.0
+        assert nearest_rank(h.counts, 0) == 1.0
+        assert nearest_rank(h.counts, 99) == 99.0
+        assert nearest_rank(h.counts, 100) == 100.0
 
     def test_summary_keys(self):
         h = Histogram("x")
         h.observe(2.0)
         s = h.summary()
         assert set(s) == {"count", "sum", "mean", "min", "max", "p50", "p99"}
-
-    def test_reservoir_keeps_the_tail_beyond_capacity(self):
-        # A keep-first-N policy would retain only the first 1024 samples
-        # (all 0.0 here) and report p99 == 0; the uniform reservoir must
-        # keep seeing the late-arriving tail.
-        h = Histogram("x")
-        for _ in range(5000):
-            h.observe(0.0)
-        for _ in range(5000):
-            h.observe(100.0)
-        assert h.count == 10_000
-        assert len(h.samples) == h.max_samples == 1024
-        assert h.percentile(99) == 100.0
-        assert 30.0 < h.percentile(50) <= 100.0
-
-    def test_reservoir_is_deterministic_per_name(self):
-        def fill(name):
-            h = Histogram(name)
-            for v in range(5000):
-                h.observe(float(v))
-            return h.samples
-
-        assert fill("latency") == fill("latency")
-        assert fill("latency") != fill("other")
-
-    def test_reset_reseeds_the_reservoir(self):
-        h = Histogram("x")
-        for v in range(5000):
-            h.observe(float(v))
-        first = list(h.samples)
-        h.reset()
-        for v in range(5000):
-            h.observe(float(v))
-        assert h.samples == first
-
-    def test_epoch_zero_seed_matches_historical(self):
-        # Epoch 0, the default, seeds from the name alone, as every
-        # histogram did before epochs existed.
-        name_only = random.Random(zlib.crc32(b"x")).getstate()
-        assert Histogram("x")._rng.getstate() == name_only
-        assert Histogram("x", epoch=0)._rng.getstate() == name_only
-
-    def test_epochs_retain_independent_deterministic_samples(self):
-        def fill(epoch):
-            h = Histogram("x", max_samples=8, epoch=epoch)
-            for v in range(5000):
-                h.observe(float(v))
-            return h.samples
-
-        assert fill(1) == fill(1)
-        assert fill(1) != fill(2)
-        assert fill(0) != fill(1)
-
-    def test_reset_returns_to_epoch_zero(self):
-        h = Histogram("x", epoch=3)
-        h.observe(1.0)
-        h.reset()
-        assert h.epoch == 0
-        assert h.count == 0 and h.samples == []
 
 
 class TestNullObjects:

@@ -1,7 +1,5 @@
 """Unit tests for the sliding-window primitives (:mod:`repro.telemetry.windows`)."""
 
-import random
-import zlib
 from fractions import Fraction
 
 import pytest
@@ -132,48 +130,13 @@ class TestWindowReservoir:
         r.reconcile(3, 7)
 
     def test_windows_never_mix_samples(self):
-        r = WindowReservoir("lat", 10.0, max_samples=4)
+        r = WindowReservoir("lat", 10.0)
         for i in range(20):
             r.observe(5.0, 100.0)  # window 0: all 100s
         for i in range(20):
             r.observe(15.0, 1.0)  # window 1: all 1s
         assert r.percentile(0, 50.0) == 100.0
         assert r.percentile(1, 50.0) == 1.0
-
-    def test_retained_samples_deterministic_per_window(self):
-        def fill(name):
-            r = WindowReservoir(name, 10.0, max_samples=8)
-            for i in range(100):
-                r.observe(float(i % 30), float(i))
-            return r
-
-        a, b = fill("lat"), fill("lat")
-        for w in range(3):
-            assert a._hists[w].samples == b._hists[w].samples
-        # Different windows of the same reservoir retain different sets
-        # (epoch-seeded), even though they saw value streams of equal
-        # length — seed differs per (name, window).
-        assert a._hists[0].epoch != a._hists[1].epoch
-
-    def test_window_keeps_the_samples_of_the_two_step_build(self):
-        # A window's histogram was once built at the name-only seed and
-        # then reseeded from (name, window); built at its epoch, it must
-        # retain the very same reservoir.  Past the 4,096-sample cap,
-        # Algorithm R draws from that seed.
-        r = WindowReservoir("lat", 10.0)
-        values = [float(i * 7919 % 10_007) for i in range(10_000)]
-        for value in values:
-            r.observe(35.0, value)
-        rng = random.Random(zlib.crc32(b"lat@epoch3"))
-        expected = []
-        for n, value in enumerate(values, 1):
-            if len(expected) < 4096:
-                expected.append((35.0, value))
-            else:
-                slot = rng.randrange(n)
-                if slot < 4096:
-                    expected[slot] = (35.0, value)
-        assert r._hists[3].samples == expected
 
     def test_value_mass_is_exact(self):
         r = WindowReservoir("lat", 10.0)
