@@ -1,45 +1,39 @@
-"""Static analyses: FLOPS utilization, FPGA resource cost, TCB accounting."""
+"""Static analyses: FLOPS utilization, FPGA resource cost, TCB accounting,
+and the exact cross-run diagnosis."""
 
-from repro.analysis.utilization import utilization_report, UtilizationRow
-from repro.analysis.hwcost import (
-    ResourceCost,
-    baseline_npu_cost,
-    snpu_extension_cost,
-    iommu_cost,
-    hardware_cost_report,
-)
-from repro.analysis.tcb import tcb_report, TCBComponent, count_package_loc
+import importlib
 
-__all__ = [
-    "utilization_report",
-    "UtilizationRow",
-    "ResourceCost",
-    "baseline_npu_cost",
-    "snpu_extension_cost",
-    "iommu_cost",
-    "hardware_cost_report",
-    "tcb_report",
-    "TCBComponent",
-    "count_package_loc",
-    "Diagnosis",
-    "DiagnosisPart",
-    "diagnose_profiles",
-    "diagnose_serve",
-    "diagnose_archived",
-    "diagnose_bench",
-]
-
-_DIAGNOSE = {
-    "Diagnosis", "DiagnosisPart", "diagnose_profiles", "diagnose_serve",
-    "diagnose_archived", "diagnose_bench",
+#: Public name -> the module that defines it.  Loaded on first access
+#: (PEP 562): the utilization report imports the driver and the
+#: diagnosis engine the store layer, and ``repro report`` needs neither
+#: of the first.
+_EXPORTS = {
+    "utilization_report": "repro.analysis.utilization",
+    "UtilizationRow": "repro.analysis.utilization",
+    "ResourceCost": "repro.analysis.hwcost",
+    "baseline_npu_cost": "repro.analysis.hwcost",
+    "snpu_extension_cost": "repro.analysis.hwcost",
+    "iommu_cost": "repro.analysis.hwcost",
+    "hardware_cost_report": "repro.analysis.hwcost",
+    "tcb_report": "repro.analysis.tcb",
+    "TCBComponent": "repro.analysis.tcb",
+    "count_package_loc": "repro.analysis.tcb",
+    "Diagnosis": "repro.analysis.diagnose",
+    "DiagnosisPart": "repro.analysis.diagnose",
+    "diagnose_profiles": "repro.analysis.diagnose",
+    "diagnose_serve": "repro.analysis.diagnose",
+    "diagnose_archived": "repro.analysis.diagnose",
+    "diagnose_bench": "repro.analysis.diagnose",
 }
 
+__all__ = list(_EXPORTS)
 
-def __getattr__(name):
-    # Lazy: repro.analysis.diagnose pulls in the store layer, which the
-    # static analyses above don't need.
-    if name in _DIAGNOSE:
-        from repro.analysis import diagnose
 
-        return getattr(diagnose, name)
-    raise AttributeError(name)
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        )
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value

@@ -1005,7 +1005,82 @@ def _cmd_disasm(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_serving_flags(p_serve, p_watch, p_slo, p_diag) -> None:
+    """The flags of ``serve``, ``watch``, ``slo`` and ``diagnose`` that
+    name serving scenarios, mechanisms and policies."""
+    from repro.serving.cluster import CLUSTER_POLICIES, DEFAULT_DETAIL_MS
+    from repro.serving.policies import POLICIES
+    from repro.serving.queueing import MECHANISMS
+    from repro.serving.workload import SCENARIOS
+
+    p_serve.add_argument(
+        "--workers", type=int, default=1, metavar="N",
+        help="NPU workers in the cluster (default 1: the single-NPU "
+             "path, byte-identical to previous releases)",
+    )
+    p_serve.add_argument(
+        "--balance", choices=CLUSTER_POLICIES, default="rr",
+        help="cluster load-balancing policy (default rr)",
+    )
+    p_serve.add_argument(
+        "--requests", type=float, default=None, metavar="R",
+        help="total request target, e.g. 1e6 (fluid horizon + a "
+             "seed-stable detailed sample; implies the cluster path)",
+    )
+    p_serve.add_argument(
+        "--detail", type=float, default=DEFAULT_DETAIL_MS, metavar="MS",
+        help="detailed-sample window per worker in ms "
+             f"(default {DEFAULT_DETAIL_MS:g})",
+    )
+    p_serve.add_argument(
+        "--autoscale", type=int, default=None, metavar="MAXW",
+        help="autoscale the fleet from --workers up to MAXW workers "
+             "until every tenant meets its SLA at p99",
+    )
+    p_serve.add_argument(
+        "--trace", default=None, metavar="PATH",
+        help="also write a Chrome-trace with per-request flow arrows "
+             "(needs the single-NPU path: not with --workers above 1, "
+             "--requests or --autoscale)",
+    )
+    p_watch.add_argument(
+        "--window", type=float, default=50.0, metavar="MS",
+        help="tumbling-window size in simulated ms (default 50)",
+    )
+    p_slo.add_argument(
+        "--spec", required=True, metavar="PATH",
+        help="JSON SLO spec (see specs/nlp-mix.slo.json)",
+    )
+    for p in (p_serve, p_watch, p_slo):
+        p.add_argument(
+            "scenario", nargs="?", default="default",
+            choices=sorted(SCENARIOS),
+            help="tenant population to serve (default: default)",
+        )
+        p.add_argument(
+            "--mechanism", choices=MECHANISMS, default="snpu",
+            help="isolation mechanism under test (default snpu)",
+        )
+    for p in (p_serve, p_watch, p_slo, p_diag):
+        p.add_argument(
+            "--policy", choices=POLICIES, default="rr",
+            help="dispatch policy (default rr)",
+        )
+        p.add_argument(
+            "--rps", type=float, default=None, metavar="R",
+            help="aggregate request rate (default: the scenario's)",
+        )
+        p.add_argument(
+            "--duration", type=float, default=None, metavar="MS",
+            help="admission-window length in ms (default: the scenario's)",
+        )
+        p.add_argument("--seed", type=int, default=0,
+                       help="workload seed (same seed => identical bytes)")
+
+
+def build_parser(verb: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``repro`` parser.  Given the *verb* about to be parsed, it
+    leaves out the serving flags of the verbs that are not it."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="sNPU (ISCA 2024) architectural-simulation reproduction",
@@ -1112,44 +1187,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_audit.set_defaults(func=_cmd_audit)
 
-    from repro.serving.cluster import CLUSTER_POLICIES, DEFAULT_DETAIL_MS
-    from repro.serving.policies import POLICIES
-    from repro.serving.queueing import MECHANISMS
-    from repro.serving.workload import SCENARIOS
-
     p_serve = sub.add_parser(
         "serve",
         help="serve a multi-tenant traffic scenario (per-tenant SLA report)",
-    )
-    p_serve.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="NPU workers in the cluster (default 1: the single-NPU "
-             "path, byte-identical to previous releases)",
-    )
-    p_serve.add_argument(
-        "--balance", choices=CLUSTER_POLICIES, default="rr",
-        help="cluster load-balancing policy (default rr)",
-    )
-    p_serve.add_argument(
-        "--requests", type=float, default=None, metavar="R",
-        help="total request target, e.g. 1e6 (fluid horizon + a "
-             "seed-stable detailed sample; implies the cluster path)",
-    )
-    p_serve.add_argument(
-        "--detail", type=float, default=DEFAULT_DETAIL_MS, metavar="MS",
-        help="detailed-sample window per worker in ms "
-             f"(default {DEFAULT_DETAIL_MS:g})",
-    )
-    p_serve.add_argument(
-        "--autoscale", type=int, default=None, metavar="MAXW",
-        help="autoscale the fleet from --workers up to MAXW workers "
-             "until every tenant meets its SLA at p99",
-    )
-    p_serve.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="also write a Chrome-trace with per-request flow arrows "
-             "(needs the single-NPU path: not with --workers above 1, "
-             "--requests or --autoscale)",
     )
     p_serve.set_defaults(func=_cmd_serve)
 
@@ -1158,20 +1198,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="live per-window timeline of a serving run "
              "(sliding-window metrics keyed on simulated cycles)",
     )
-    p_watch.add_argument(
-        "--window", type=float, default=50.0, metavar="MS",
-        help="tumbling-window size in simulated ms (default 50)",
-    )
     p_watch.set_defaults(func=_cmd_watch)
 
     p_slo = sub.add_parser(
         "slo",
         help="evaluate an SLO spec against a live serving run "
              "(exit codes: README, Install & run)",
-    )
-    p_slo.add_argument(
-        "--spec", required=True, metavar="PATH",
-        help="JSON SLO spec (see specs/nlp-mix.slo.json)",
     )
     p_slo.set_defaults(func=_cmd_slo)
 
@@ -1311,31 +1343,11 @@ def build_parser() -> argparse.ArgumentParser:
                     (p_stats, 112), (p_trace, 112), (p_flows, 112),
                     (p_prof, 112), (p_diag, 112)):
         p.add_argument("--input-size", type=int, default=size)
-    for p in (p_serve, p_watch, p_slo):
-        p.add_argument(
-            "scenario", nargs="?", default="default",
-            choices=sorted(SCENARIOS),
-            help="tenant population to serve (default: default)",
-        )
-        p.add_argument(
-            "--mechanism", choices=MECHANISMS, default="snpu",
-            help="isolation mechanism under test (default snpu)",
-        )
-    for p in (p_serve, p_watch, p_slo, p_diag):
-        p.add_argument(
-            "--policy", choices=POLICIES, default="rr",
-            help="dispatch policy (default rr)",
-        )
-        p.add_argument(
-            "--rps", type=float, default=None, metavar="R",
-            help="aggregate request rate (default: the scenario's)",
-        )
-        p.add_argument(
-            "--duration", type=float, default=None, metavar="MS",
-            help="admission-window length in ms (default: the scenario's)",
-        )
-        p.add_argument("--seed", type=int, default=0,
-                       help="workload seed (same seed => identical bytes)")
+    # The serving verbs' flags take their choices and defaults from
+    # repro.serving, which loads the driver; the other verbs never parse
+    # them, so they are added only when one of these verbs is parsed.
+    if verb is None or verb in ("serve", "watch", "slo", "diagnose"):
+        _add_serving_flags(p_serve, p_watch, p_slo, p_diag)
     for p, fmt in ((p_audit, "summary"), (p_stats, "table"), (p_flows, "table"),
                    (p_serve, "table"), (p_watch, "table"), (p_slo, "table"),
                    (p_prof, "table"), (p_diag, "table")):
@@ -1372,7 +1384,8 @@ _EXIT_CODES = (
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ReproError, OSError) as exc:

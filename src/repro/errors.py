@@ -21,10 +21,6 @@ class AllocationError(ReproError):
     """A memory or scratchpad allocation could not be satisfied."""
 
 
-class SimulationError(ReproError):
-    """The simulation kernel reached an inconsistent state."""
-
-
 class ReconciliationError(ReproError):
     """Streaming window partials failed to reconcile with run totals.
 

@@ -3,13 +3,15 @@
 ``repro all --jobs N`` fans the registered experiments out across *N*
 worker processes.  Two properties make the fan-out trustworthy:
 
-* **Determinism** — every experiment runs under a deterministic seed
-  derived only from ``(exp_id, profile)`` (see
-  :func:`repro.sim.worker.stable_seed`), inside its own
-  ``telemetry.scoped`` block, in a worker whose globals were reset by
+* **Determinism** — an experiment depends only on ``(exp_id, profile)``:
+  its simulations draw from their own seeded ``random.Random``
+  instances, it runs inside its own ``telemetry.scoped`` block, and a
+  pool worker's globals were reset by
   :func:`repro.sim.worker.init_worker`.  Every ``--outdir`` file is
   therefore byte-identical between ``--jobs 1`` and ``--jobs N``
   (``tests/integration/test_parallel_determinism.py`` enforces it).
+  The archive records :func:`repro.sim.worker.stable_seed` of the pair
+  as the run's seed.
 * **Scheduling** — the registry's cost hints order the batch
   costliest-first, so the makespan approaches the cost of the single
   most expensive experiment.
@@ -30,7 +32,7 @@ from typing import Iterable, List, Optional
 
 from repro.experiments import export
 from repro.experiments.runner import ExperimentResult
-from repro.sim.worker import init_worker, seed_rngs, stable_seed
+from repro.sim.worker import init_worker, stable_seed
 from repro.store import ingest_quietly
 from repro.store.ingest import record_from_experiment
 
@@ -95,12 +97,11 @@ class ParallelRun:
 def _execute(exp_id: str, profile: str) -> ExperimentOutcome:
     """Run one experiment.
 
-    Runs in a pool worker (or inline for ``--jobs 1`` — same code path,
-    same seeding, which is what makes the two modes bit-identical).
+    Runs in a pool worker (or inline for ``--jobs 1`` — the same code
+    path, which is what makes the two modes bit-identical).
     """
     from repro.experiments.all import run_one
 
-    seed_rngs(stable_seed(exp_id, profile))
     started = time.time()
     results = run_one(exp_id, profile)
     return ExperimentOutcome(
@@ -144,7 +145,6 @@ def run_parallel(
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=jobs,
             initializer=init_worker,
-            initargs=(stable_seed("repro-worker", profile),),
         ) as pool:
             outcomes = list(pool.map(_execute, order, profiles))
 

@@ -18,7 +18,6 @@ from typing import Dict
 from repro import telemetry
 from repro.common.types import PAGE_SIZE, DmaRequest
 from repro.errors import ConfigError
-from repro.sim.resources import BandwidthResource
 
 
 class DRAMModel:
@@ -27,7 +26,9 @@ class DRAMModel:
     def __init__(self, bytes_per_cycle: float = 16.0, access_latency: int = 40):
         if access_latency < 0:
             raise ConfigError(f"negative DRAM latency {access_latency}")
-        self.channel = BandwidthResource(bytes_per_cycle)
+        if bytes_per_cycle <= 0:
+            raise ConfigError(f"bandwidth must be positive, got {bytes_per_cycle}")
+        self.bytes_per_cycle = float(bytes_per_cycle)
         #: Latency in cycles of one serialized random access (page-walk step).
         self.access_latency = int(access_latency)
         self._pages: Dict[int, bytearray] = {}
@@ -36,8 +37,6 @@ class DRAMModel:
         tel = telemetry.metrics.group("memory.dram")
         tel.bind("reads", self, "reads")
         tel.bind("writes", self, "writes")
-        tel.bind("bytes_moved", self.channel, "bytes_moved")
-        tel.bind("busy_cycles", self.channel, "busy_cycles")
         tel.bind("resident_bytes", self, "resident_bytes")
 
     # ------------------------------------------------------------------
@@ -86,8 +85,11 @@ class DRAMModel:
     # Timing
     # ------------------------------------------------------------------
     def transfer_cycles(self, nbytes: float, share: float = 1.0) -> float:
-        """Streaming transfer time for *nbytes* at a bandwidth *share*."""
-        return self.channel.cycles_for(nbytes, share)
+        """Streaming transfer time for *nbytes* at a bandwidth *share*
+        (two concurrently active tasks split the channel)."""
+        if share <= 0 or share > 1:
+            raise ConfigError(f"bandwidth share must be in (0, 1], got {share}")
+        return nbytes / (self.bytes_per_cycle * share)
 
     def record_flow(self, request: DmaRequest, nbytes: float) -> None:
         """Annotate *request*'s flow with the bytes it moved on this channel."""

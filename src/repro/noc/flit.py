@@ -1,96 +1,40 @@
-"""NoC packets and flits.
+"""NoC packets.
 
 "Most NoC networks utilize a package-based protocol.  A package typically
 consists of a head flit, several body flits, and a tail flit.  The head
 flit contains route information, specifying the path between the source
 and target cores" (§IV-B).  The sNPU extension adds the sender's identity
 (its ID/world bit) to the head flit, which the receiving router's peephole
-authenticates.
+authenticates.  A packet is timed by its flit count (:meth:`Packet.n_flits`).
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.common.types import World
 from repro.errors import ConfigError
-
-
-class FlitKind(enum.Enum):
-    HEAD = "head"
-    BODY = "body"
-    TAIL = "tail"
-
-
-@dataclass(frozen=True)
-class Flit:
-    """One link-level transfer unit."""
-
-    kind: FlitKind
-    src: int
-    dst: int
-    payload_bytes: int = 0
-    #: Sender identity carried only by the head flit (the peephole field).
-    auth_world: Optional[World] = None
-    seq: int = 0
-    #: Flow ID of the packet this flit belongs to (telemetry sideband;
-    #: every flit of a packet carries it so a multi-hop trace can stitch
-    #: the wormhole back together).  None = flow tracing off.
-    flow_id: Optional[int] = None
 
 
 @dataclass
 class Packet:
     """One NoC packet: head + body flits + tail.
 
-    ``route`` is the relative route in mesh steps, e.g. ``(+2, -1)`` for
-    "two hops in x, one back in y" — the paper's ``x:+4, y:+2`` format.
+    ``world`` is the sender identity the head flit carries to the
+    receiver's peephole.
     """
 
     src: int
     dst: int
     nbytes: int
     world: World
-    route: Tuple[int, int] = (0, 0)
-    #: Flow ID allocated at injection; stamped onto every flit.
+    #: Flow ID allocated at injection (telemetry; None = flow tracing off).
     flow_id: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.nbytes < 0:
             raise ConfigError(f"packet with negative payload {self.nbytes}")
-
-    def flits(self, flit_bytes: int) -> List[Flit]:
-        """Serialize into head/body/tail flits of *flit_bytes* each."""
-        n_body = max(0, -(-self.nbytes // flit_bytes) - 1)
-        out: List[Flit] = [
-            Flit(
-                kind=FlitKind.HEAD,
-                src=self.src,
-                dst=self.dst,
-                payload_bytes=min(self.nbytes, flit_bytes),
-                auth_world=self.world,
-                seq=0,
-                flow_id=self.flow_id,
-            )
-        ]
-        for i in range(n_body):
-            remaining = self.nbytes - (i + 1) * flit_bytes
-            out.append(
-                Flit(
-                    kind=FlitKind.BODY if remaining > flit_bytes else FlitKind.TAIL,
-                    src=self.src,
-                    dst=self.dst,
-                    payload_bytes=min(remaining, flit_bytes),
-                    seq=i + 1,
-                    flow_id=self.flow_id,
-                )
-            )
-        if len(out) == 1:
-            # Single-flit packet: the head doubles as tail.
-            return out
-        return out
 
     def n_flits(self, flit_bytes: int = 16) -> int:
         return max(1, -(-self.nbytes // flit_bytes))

@@ -35,11 +35,6 @@ class Mesh:
         (r1, c1), (r2, c2) = self.coords(src), self.coords(dst)
         return abs(r1 - r2) + abs(c1 - c2)
 
-    def route(self, src: int, dst: int) -> Tuple[int, int]:
-        """Relative route (dx, dy) carried in the head flit."""
-        (r1, c1), (r2, c2) = self.coords(src), self.coords(dst)
-        return (c2 - c1, r2 - r1)
-
     def path(self, src: int, dst: int) -> List[int]:
         """Core ids traversed under X-Y routing, inclusive of endpoints."""
         (r1, c1), (r2, c2) = self.coords(src), self.coords(dst)

@@ -14,20 +14,24 @@ authentication locks the receive channel to the sender; other senders are
 rejected until the channel is released.  The check rides the head flit's
 normal processing, so the peephole adds **zero cycles** over the
 unauthorized NoC — the property Fig. 16 demonstrates.
+
+A packet's timing is therefore a closed form, whatever the policy: the
+head flit arrives ``hops * hop_cycles`` after injection and the tail
+``n_flits`` cycles later.  :class:`NoCFabric` keeps one cycle cursor and
+sends its packets one after another from it.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro import telemetry
 from repro.common.types import World
 from repro.errors import ConfigError, NoCAuthError, PrivilegeError
 from repro.noc.flit import Packet
 from repro.noc.mesh import Mesh
-from repro.sim.engine import SimEngine
 
 
 class NoCPolicy(enum.Enum):
@@ -132,7 +136,8 @@ class RouterController:
 
 
 class NoCFabric:
-    """The mesh fabric: wires routers together over a simulation engine."""
+    """The mesh fabric: wires routers together and times each packet in
+    closed form on its own cycle cursor."""
 
     def __init__(
         self,
@@ -140,7 +145,6 @@ class NoCFabric:
         policy: NoCPolicy = NoCPolicy.UNAUTHORIZED,
         hop_cycles: int = 2,
         flit_bytes: int = 16,
-        engine: Optional[SimEngine] = None,
     ):
         if hop_cycles < 1 or flit_bytes < 1:
             raise ConfigError("hop_cycles and flit_bytes must be >= 1")
@@ -148,7 +152,10 @@ class NoCFabric:
         self.policy = policy
         self.hop_cycles = hop_cycles
         self.flit_bytes = flit_bytes
-        self.engine = engine or SimEngine()
+        #: Cycle cursor: packets inject here, one after another; a
+        #: delivery moves it to the tail's arrival, a rejection to the
+        #: head's.
+        self.now = 0.0
         self.routers: List[RouterController] = [
             RouterController(self, i) for i in range(mesh.size)
         ]
@@ -178,17 +185,23 @@ class NoCFabric:
         return sum(r.stats.flits_moved for r in self.routers)
 
     # ------------------------------------------------------------------
-    def latency_cycles(self, src: int, dst: int, nbytes: int) -> float:
-        """Analytic wormhole latency: head traverses the hops, then one
-        flit per cycle drains behind it."""
+    def _wormhole(self, src: int, dst: int, nbytes: int) -> Tuple[int, int]:
+        """Cycles for the head flit to traverse the hops, and the flits
+        that drain behind it, one per cycle."""
         hops = self.mesh.hops(src, dst)
         n_flits = Packet(src, dst, nbytes, self.routers[src].world).n_flits(
             self.flit_bytes
         )
-        return hops * self.hop_cycles + n_flits
+        return hops * self.hop_cycles, n_flits
+
+    def latency_cycles(self, src: int, dst: int, nbytes: int) -> float:
+        """Wormhole latency of one packet: the head traverses the hops,
+        then one flit per cycle drains behind it."""
+        route, n_flits = self._wormhole(src, dst, nbytes)
+        return route + n_flits
 
     def transfer(self, src: int, dst: int, nbytes: int) -> float:
-        """Run one packet through the event-driven fabric; returns latency.
+        """Send one packet at the cursor; returns its latency.
 
         Raises :class:`~repro.errors.NoCAuthError` when the receiving
         peephole rejects the packet; rejection happens at head-flit arrival
@@ -196,93 +209,79 @@ class NoCFabric:
         """
         sender = self.routers[src]
         receiver = self.routers[dst]
+        route, n_flits = self._wormhole(src, dst, nbytes)
         flows = telemetry.flows
         packet = Packet(
             src=src,
             dst=dst,
             nbytes=nbytes,
             world=sender.world,
-            route=self.mesh.route(src, dst),
             flow_id=flows.allocate() if flows.enabled else None,
         )
-        start = self.engine.now
+        start = self.now
+        head = start + route
         audit = telemetry.audit
         if audit.enabled:
-            # Peephole decisions fire inside the event loop; stamp them
-            # with the injection time of this packet.
+            # Stamp the peephole's decision with this packet's injection.
             audit.clock = start
-        outcome: Dict[str, object] = {}
-
-        def head_arrives() -> None:
-            sender.state = RouterState.TRANSFER
-            try:
-                receiver.authenticate(packet)
-            except NoCAuthError as exc:
-                outcome["error"] = exc
-                sender.state = RouterState.IDLE
-                flows.abort(packet.flow_id)
-                telemetry.profiler.count("noc.rejects")
-                tracer = telemetry.tracer
-                if tracer.enabled:
-                    tracer.instant(
-                        "noc.reject", "noc", ts=self.engine.now, track="noc",
-                        src=src, dst=dst,
-                    )
-                return
-            receiver.state = RouterState.TRANSFER
-            n_flits = packet.n_flits(self.flit_bytes)
-            sender.stats.flits_moved += n_flits
-            receiver.stats.flits_moved += n_flits
-            # Wormhole: the tail flit lands n_flits - 1 cycles after the head.
-            self.engine.schedule(max(0, n_flits - 1) + 1, tail_arrives)
-
-        def tail_arrives() -> None:
-            sender.state = RouterState.IDLE
-            receiver.state = RouterState.IDLE
-            sender.stats.packets_sent += 1
-            receiver.stats.packets_received += 1
-            outcome["done_at"] = self.engine.now
-            profiler = telemetry.profiler
-            if profiler.enabled:
-                # Head-flit route traversal vs body-flit drain behind it.
-                hop = self.mesh.hops(src, dst) * self.hop_cycles
-                duration = self.engine.now - start
-                profiler.attribute("noc.hop", min(hop, duration))
-                profiler.attribute("noc.serialization", max(duration - hop, 0.0))
-                profiler.count("noc.packets")
-            tracer = telemetry.tracer
-            if tracer.enabled:
-                tracer.span(
-                    f"pkt {src}->{dst}", "noc", ts=start,
-                    dur=self.engine.now - start, track="noc",
-                    bytes=nbytes, flits=packet.n_flits(self.flit_bytes),
-                    world=packet.world.name,
-                )
-            if flows.enabled and packet.flow_id is not None:
-                hop = self.mesh.hops(src, dst) * self.hop_cycles
-                duration = self.engine.now - start
-                # Peephole authentication rides the head flit's normal
-                # processing — zero cycles of security time by design
-                # (Fig. 16); the zero-width span is kept in the parts
-                # list so the decomposition names the stage explicitly.
-                flows.complete(
-                    packet.flow_id, "noc", start, duration,
-                    parts=[
-                        ("route", "service", min(hop, duration)),
-                        ("peephole", "security", 0.0),
-                        ("serialization", "service", max(duration - hop, 0.0)),
-                    ],
-                    residual=("serialization", "service"),
-                    world=packet.world.name,
-                    stream=f"{src}->{dst}",
-                    nbytes=nbytes,
-                    context="noc",
-                    track="noc",
-                )
 
         sender.state = RouterState.PEEPHOLE  # generate the identity
-        self.engine.schedule(self.mesh.hops(src, dst) * self.hop_cycles, head_arrives)
-        self.engine.run()
-        if "error" in outcome:
-            raise outcome["error"]  # type: ignore[misc]
-        return float(outcome["done_at"]) - start  # type: ignore[arg-type]
+        sender.state = RouterState.TRANSFER  # the head flit reaches dst
+        try:
+            receiver.authenticate(packet)
+        except NoCAuthError:
+            sender.state = RouterState.IDLE
+            self.now = head
+            flows.abort(packet.flow_id)
+            telemetry.profiler.count("noc.rejects")
+            tracer = telemetry.tracer
+            if tracer.enabled:
+                tracer.instant(
+                    "noc.reject", "noc", ts=head, track="noc",
+                    src=src, dst=dst,
+                )
+            raise
+        receiver.state = RouterState.TRANSFER
+        sender.stats.flits_moved += n_flits
+        receiver.stats.flits_moved += n_flits
+
+        # Wormhole: the tail flit lands n_flits cycles after the head.
+        self.now = head + n_flits
+        duration = self.now - start
+        sender.state = RouterState.IDLE
+        receiver.state = RouterState.IDLE
+        sender.stats.packets_sent += 1
+        receiver.stats.packets_received += 1
+        profiler = telemetry.profiler
+        if profiler.enabled:
+            # Head-flit route traversal vs body-flit drain behind it.
+            profiler.attribute("noc.hop", min(route, duration))
+            profiler.attribute("noc.serialization", max(duration - route, 0.0))
+            profiler.count("noc.packets")
+        tracer = telemetry.tracer
+        if tracer.enabled:
+            tracer.span(
+                f"pkt {src}->{dst}", "noc", ts=start, dur=duration,
+                track="noc", bytes=nbytes, flits=n_flits,
+                world=packet.world.name,
+            )
+        if flows.enabled and packet.flow_id is not None:
+            # Peephole authentication rides the head flit's normal
+            # processing — zero cycles of security time by design
+            # (Fig. 16); the zero-width span is kept in the parts
+            # list so the decomposition names the stage explicitly.
+            flows.complete(
+                packet.flow_id, "noc", start, duration,
+                parts=[
+                    ("route", "service", min(route, duration)),
+                    ("peephole", "security", 0.0),
+                    ("serialization", "service", max(duration - route, 0.0)),
+                ],
+                residual=("serialization", "service"),
+                world=packet.world.name,
+                stream=f"{src}->{dst}",
+                nbytes=nbytes,
+                context="noc",
+                track="noc",
+            )
+        return duration

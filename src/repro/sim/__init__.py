@@ -1,18 +1,10 @@
-"""Deterministic simulation kernel: event queue, clock, shared resources."""
+"""The per-layer fast path and the pool-worker hygiene of parallel runs."""
 
 from repro.sim import fastpath
-from repro.sim.clock import Clock
-from repro.sim.engine import SimEngine, Event
-from repro.sim.resources import BandwidthResource
-from repro.sim.worker import init_worker, seed_rngs, stable_seed
+from repro.sim.worker import init_worker, stable_seed
 
 __all__ = [
-    "Clock",
-    "SimEngine",
-    "Event",
-    "BandwidthResource",
     "fastpath",
     "init_worker",
-    "seed_rngs",
     "stable_seed",
 ]

@@ -1,15 +1,17 @@
-"""Property-based tests on types, IOTLB, mesh and crypto invariants."""
+"""Property-based tests on types, IOTLB, mesh, NoC and crypto invariants."""
 
 from collections import OrderedDict
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.types import DmaRequest, PACKET_BYTES, PAGE_SIZE, pages_of_range
+from repro.common.types import DmaRequest, PACKET_BYTES, PAGE_SIZE, World, pages_of_range
+from repro.errors import NoCAuthError
 from repro.memory.pagetable import PageTableEntry
 from repro.mmu.iommu import IOTLB
 from repro.monitor.crypto import mac, measure, stream_cipher, verify_mac
 from repro.noc.mesh import Mesh
+from repro.noc.router import NoCFabric, NoCPolicy
 
 
 # ----------------------------------------------------------------------
@@ -110,6 +112,34 @@ def test_rectangle_detection_matches_bruteforce(rows, cols, data):
     # Dropping a corner breaks it (unless it is a single cell).
     if len(ids) > 1:
         assert not mesh.is_rectangle(ids[:-1], r, c)
+
+
+@given(
+    st.integers(1, 4), st.integers(1, 4), st.sampled_from(NoCPolicy),
+    st.integers(1, 8), st.integers(1, 64), st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_fabric_transfer_is_its_closed_form(rows, cols, policy, hop_cycles,
+                                            flit_bytes, data):
+    """A packet costs its hops plus one cycle per flit and moves the
+    cursor by exactly that; a rejected one stops it at head arrival."""
+    fabric = NoCFabric(Mesh(rows, cols), policy, hop_cycles, flit_bytes)
+    core = st.integers(0, fabric.mesh.size - 1)
+    for secure in data.draw(st.sets(core)):
+        fabric.routers[secure].set_world(World.SECURE, issuer=World.SECURE)
+    for _ in range(data.draw(st.integers(1, 6))):
+        src, dst = data.draw(core), data.draw(core)
+        nbytes = data.draw(st.integers(0, 1 << 16))
+        start = fabric.now
+        expected = fabric.latency_cycles(src, dst, nbytes)
+        try:
+            latency = fabric.transfer(src, dst, nbytes)
+        except NoCAuthError:
+            assert policy is NoCPolicy.PEEPHOLE
+            assert fabric.now == start + fabric.mesh.hops(src, dst) * hop_cycles
+        else:
+            assert latency == expected
+            assert fabric.now == start + expected
 
 
 # ----------------------------------------------------------------------

@@ -82,9 +82,23 @@ class TestDRAM:
         assert dram.transfer_cycles(160) == 10.0
         assert dram.transfer_cycles(160, share=0.5) == 20.0
 
+    def test_transfer_cycles_follow_bandwidth(self):
+        dram = DRAMModel(32.0)
+        assert dram.transfer_cycles(160) == 5.0
+        assert dram.transfer_cycles(160, share=0.5) == 10.0
+
     def test_negative_latency_rejected(self):
         with pytest.raises(ConfigError):
             DRAMModel(access_latency=-1)
+
+    def test_invalid_bandwidth(self):
+        with pytest.raises(ConfigError):
+            DRAMModel(0)
+
+    def test_invalid_share(self, dram):
+        for share in (0, 1.5):
+            with pytest.raises(ConfigError):
+                dram.transfer_cycles(10, share=share)
 
 
 class TestPageTable:

@@ -1,11 +1,11 @@
-"""Unit tests for the NoC: flits, mesh, peephole routers, software NoC."""
+"""Unit tests for the NoC: packets, mesh, peephole routers, software NoC."""
 
 import pytest
 
 from repro.common.types import World
 from repro.errors import ConfigError, NoCAuthError, PrivilegeError
 from repro.memory.dram import DRAMModel
-from repro.noc.flit import Flit, FlitKind, Packet
+from repro.noc.flit import Packet
 from repro.noc.mesh import Mesh
 from repro.noc.router import NoCFabric, NoCPolicy, RouterState
 from repro.noc.software_noc import SoftwareNoC
@@ -13,22 +13,13 @@ from repro.noc.software_noc import SoftwareNoC
 
 class TestFlits:
     def test_single_flit_packet(self):
-        packet = Packet(src=0, dst=1, nbytes=8, world=World.NORMAL)
-        flits = packet.flits(16)
-        assert len(flits) == 1
-        assert flits[0].kind is FlitKind.HEAD
-        assert flits[0].auth_world is World.NORMAL
+        for nbytes in (0, 8, 16):
+            packet = Packet(src=0, dst=1, nbytes=nbytes, world=World.NORMAL)
+            assert packet.n_flits(16) == 1
 
     def test_flit_count(self):
         packet = Packet(src=0, dst=1, nbytes=100, world=World.NORMAL)
         assert packet.n_flits(16) == 7
-        assert len(packet.flits(16)) == 7
-
-    def test_only_head_carries_identity(self):
-        packet = Packet(src=0, dst=1, nbytes=64, world=World.SECURE)
-        flits = packet.flits(16)
-        assert flits[0].auth_world is World.SECURE
-        assert all(f.auth_world is None for f in flits[1:])
 
     def test_negative_payload_rejected(self):
         with pytest.raises(ConfigError):
@@ -49,10 +40,6 @@ class TestMesh:
         assert mesh.hops(0, 0) == 0
         assert mesh.hops(0, 4) == 4
         assert mesh.hops(0, 9) == 5  # (0,0) -> (1,4)
-
-    def test_route_relative(self, mesh):
-        assert mesh.route(0, 9) == (4, 1)
-        assert mesh.route(9, 0) == (-4, -1)
 
     def test_path_endpoints_and_length(self, mesh):
         path = mesh.path(0, 9)

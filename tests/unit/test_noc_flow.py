@@ -1,4 +1,4 @@
-"""Flow propagation through the NoC: flit sideband, spans, audit denials."""
+"""Flow propagation through the NoC: spans, flows, audit decisions."""
 
 import pytest
 
@@ -6,28 +6,56 @@ from repro import telemetry
 from repro.analysis.flows import verify_decomposition
 from repro.common.types import World
 from repro.errors import NoCAuthError
-from repro.noc.flit import FlitKind, Packet
 from repro.noc.mesh import Mesh
 from repro.noc.network import WormholeNetwork
 from repro.noc.router import NoCFabric, NoCPolicy
 
 
-class TestFlitSideband:
-    def test_every_flit_carries_the_flow_id(self):
-        packet = Packet(src=0, dst=3, nbytes=200, world=World.NORMAL,
-                        flow_id=42)
-        flits = packet.flits(16)
-        assert len(flits) > 2  # head + bodies + tail
-        assert all(f.flow_id == 42 for f in flits)
-        assert flits[0].kind is FlitKind.HEAD
-        assert flits[-1].kind is FlitKind.TAIL
-
-    def test_flow_id_defaults_to_none(self):
-        packet = Packet(src=0, dst=1, nbytes=16, world=World.NORMAL)
-        assert all(f.flow_id is None for f in packet.flits(16))
-
-
 class TestFabricFlows:
+    def test_trace_scenario_observables_are_pinned(self):
+        """``repro trace <model>``'s packets: two deliveries, then a
+        normal-world packet into a secure router, with every record the
+        fabric emits."""
+        with telemetry.scoped(trace=True, flow=True, audit_log=True) as scope:
+            fabric = NoCFabric(Mesh(2, 5), NoCPolicy.PEEPHOLE)
+            latencies = [fabric.transfer(0, 3, 4096)]
+            cursors = [fabric.now]
+            latencies.append(fabric.transfer(3, 0, 1024))
+            cursors.append(fabric.now)
+            fabric.routers[1].set_world(World.SECURE, issuer=World.SECURE)
+            with pytest.raises(NoCAuthError):
+                fabric.transfer(0, 1, 256)
+            cursors.append(fabric.now)
+            events = [e for e in scope.tracer.events if e["cat"] == "noc"]
+            flows = scope.flows.records
+            decisions = scope.audit.records
+            metrics = scope.metrics.snapshot()
+        assert latencies == [262.0, 70.0]
+        assert cursors == [262.0, 332.0, 334.0]
+        assert [(e["name"], e["ph"], e["ts"], e.get("dur")) for e in events] == [
+            ("pkt 0->3", "X", 0.0, 262.0),
+            ("pkt 3->0", "X", 262.0, 70.0),
+            ("noc.reject", "i", 334.0, None),
+        ]
+        assert [
+            [(s.stage, s.enter, s.exit, float(s.service)) for s in r.stages]
+            for r in flows
+        ] == [
+            [("route", 0.0, 6.0, 6.0), ("serialization", 6.0, 262.0, 256.0)],
+            [("route", 262.0, 268.0, 6.0),
+             ("serialization", 268.0, 332.0, 64.0)],
+        ]
+        assert [(d["kind"], d["cycle"]) for d in decisions] == [
+            ("noc.grant", 0.0), ("noc.grant", 262.0), ("noc.deny", 332.0),
+        ]
+        assert {k: v for k, v in metrics.items()
+                if k.startswith("noc.fabric.")} == {
+            "noc.fabric.packets_sent": 2,
+            "noc.fabric.packets_received": 2,
+            "noc.fabric.packets_rejected": 1,
+            "noc.fabric.flits_moved": 640,
+        }
+
     def test_multi_hop_transfer_records_one_flow(self):
         with telemetry.scoped(trace=False, flow=True) as scope:
             fabric = NoCFabric(Mesh(2, 2), NoCPolicy.PEEPHOLE)
